@@ -288,3 +288,166 @@ def test_bounded_proof_search():
     assert p2 is not None and check_proof(qe, p2, parse_formula("0<=0"))
     # hopeless goal stays unfound
     assert bounded_proof_search(q, parse_formula("0=S(0)"), 16) is None
+
+
+# ---------------------------------------------------------------------------
+# Pinned verdicts of the proof and truth atoms, evaluated end to end with
+# every argument written as a code literal
+
+
+def _atom_cases():
+    from conseq import refs, theories
+    from conseq.semantics import logical_instance
+
+    enc = coding.encode
+
+    def axiom_proof(f):
+        return encode_proof(Proof((Step(f, ("axiom",)),)))
+
+    a, b = parse_formula("0=0"), parse_formula("0<=0")
+    ga, gb = enc(a), enc(b)
+    pa = encode_proof(Proof((Step(a, ("logical", "EQ-REFL")),)))
+    pb = axiom_proof(b)
+    q_ax = standard_theory("Q").enumerator(3)
+    q0 = standard_theory("Q").enumerator(0)
+    junk = 12345  # no sentinel byte: not a code of anything
+
+    # a level-1 machine description and its inserted reflection sentence
+    y = coding.machine_index(0, 0, enc(parse_formula("x0=x1")), 1)
+    mach_sent = theories.machine_stream(y)(3)
+    b1_ax = standard_theory("BSigma1").enumerator(1)
+
+    ex_goal = parse_formula("E x0. x0=0")
+    ext_q = refs.Ext(refs.Named("Q"), enc(ex_goal))
+    unary = parse_formula("x0=0")
+
+    base = parse_formula("x0=x0")
+    three = numeral(3)
+    p_three = encode_proof(Proof((Step(EqAtom(three, three), ("logical", "EQ-REFL")),)))
+
+    marker = theories.marker_sentence("BSigma1")
+    sig2 = parse_formula("x0=x1")
+    inhab_goal = Ex(1, parse_formula("S(S(S(0)))=x1"))  # sigma at x0 := numeral(2+1)
+    from conseq.syntax import DAtom, code_literal
+
+    refl_goal = All(
+        0,
+        Imp(
+            DAtom("TrueClAt", ("Sigma", 1), (code_literal(enc(sig2)), code_literal(3), Var(0))),
+            theories.ncon_sent_of(2, Var(0), 1),
+        ),
+    )
+    connum_goal = theories.ncon_sent_of(2, code_literal(ga), 0)
+
+    T, F, U = TRUE, FALSE, UNKNOWN
+    return [
+        # Prf[ref](p, g)
+        ("prf-axiom", "Prf", ("Q",), (axiom_proof(q_ax), enc(q_ax)), T),
+        ("prf-logical", "Prf", ("ZFstub",), (pa, ga), T),
+        ("prf-foreign-axiom", "Prf", ("ZFstub",), (axiom_proof(q_ax), enc(q_ax)), F),
+        ("prf-wrong-goal", "Prf", ("Q",), (pa, gb), F),
+        ("prf-noncode", "Prf", ("Q",), (junk, ga), F),
+        # PrfX[ref](p, g, e): ref axioms plus the sentence e
+        ("prfx-extra", "PrfX", ("ZFstub",), (pb, gb, gb), T),
+        ("prfx-theory", "PrfX", ("Q",), (axiom_proof(q_ax), enc(q_ax), ga), T),
+        ("prfx-false", "PrfX", ("ZFstub",), (pb, gb, ga), F),
+        ("prfx-noncode", "PrfX", ("Q",), (junk, gb, gb), F),
+        # PrfSent(p, g, s) and PrfSentX(p, g, s, e)
+        ("prfsent-true", "PrfSent", (), (pb, gb, gb), T),
+        ("prfsent-false", "PrfSent", (), (pb, gb, ga), F),
+        ("prfsent-noncode", "PrfSent", (), (pb, junk, gb), F),
+        ("prfsentx-s", "PrfSentX", (), (pb, gb, gb, ga), T),
+        ("prfsentx-e", "PrfSentX", (), (pb, gb, ga, gb), T),
+        ("prfsentx-false", "PrfSentX", (), (pb, gb, ga, ga), F),
+        ("prfsentx-noncode", "PrfSentX", (), (junk, gb, gb, gb), F),
+        # PrfMachX(p, g, y, e): machine-coded theory y plus the sentence e
+        ("prfmachx-extra", "PrfMachX", (), (pb, gb, y, gb), T),
+        ("prfmachx-base", "PrfMachX", (), (axiom_proof(b1_ax), enc(b1_ax), y, ga), T),
+        ("prfmachx-stream", "PrfMachX", (), (axiom_proof(mach_sent), enc(mach_sent), y, ga), T),
+        ("prfmachx-false", "PrfMachX", (), (pb, gb, y, ga), F),
+        ("prfmachx-nonmachine", "PrfMachX", (), (axiom_proof(b1_ax), enc(b1_ax), 7, ga), F),
+        ("prfmachx-noncode", "PrfMachX", (), (junk, gb, y, gb), F),
+        # PrfIdx[ref](k, g): canonical proof stream
+        ("prfidx-axiom", "PrfIdx", ("Q",), (0, enc(q0)), T),
+        ("prfidx-logical", "PrfIdx", ("Q",), (1, enc(logical_instance(0)[0])), T),
+        ("prfidx-false", "PrfIdx", ("Q",), (0, ga), F),
+        ("prfidx-noncode", "PrfIdx", ("Q",), (0, junk), F),
+        ("prfidx-far", "PrfIdx", ("Q",), (1_000_001, ga), U),
+        # PrfEx[ref](k, a): proof of the existential closure of unary a
+        ("prfex-true", "PrfEx", (ext_q,), (axiom_proof(ex_goal), enc(unary)), T),
+        ("prfex-false", "PrfEx", ("Q",), (axiom_proof(ex_goal), enc(unary)), F),
+        ("prfex-closed", "PrfEx", (ext_q,), (axiom_proof(ex_goal), ga), F),
+        ("prfex-noncode", "PrfEx", (ext_q,), (junk, enc(unary)), F),
+        # PrfSub[ref](p, f, v...): proof of f at the numerals of v...
+        ("prfsub-true", "PrfSub", ("EA",), (p_three, enc(base), 3), T),
+        ("prfsub-other-value", "PrfSub", ("EA",), (p_three, enc(base), 2), F),
+        ("prfsub-arity", "PrfSub", ("EA",), (p_three, enc(base)), F),
+        ("prfsub-noncode", "PrfSub", ("EA",), (junk, enc(base), 3), F),
+        # PrfGoal[goal, thy, ...](p, y, ...)
+        ("goal-marker-sent", "PrfGoal", ("marker", "sent", "BSigma1"), (axiom_proof(marker), enc(marker)), T),
+        ("goal-marker-sent-false", "PrfGoal", ("marker", "sent", "BSigma1"), (axiom_proof(marker), ga), F),
+        ("goal-marker-idx", "PrfGoal", ("marker", "idx", "BSigma1"), (axiom_proof(marker), y), T),
+        ("goal-marker-idx-false", "PrfGoal", ("marker", "idx", "BSigma1"), (axiom_proof(marker), 7), F),
+        ("goal-marker-noncode", "PrfGoal", ("marker", "idx", "BSigma1"), (junk, y), F),
+        ("goal-inhab-sent", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 2), T),
+        ("goal-inhab-sent-false", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 1), F),
+        ("goal-inhab-idx", "PrfGoal", ("inhab", "idx"), (axiom_proof(inhab_goal), y, enc(sig2), 2), F),
+        ("goal-inhab-far", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 100_001), U),
+        ("goal-inhab-noncode-sigma", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), junk, 2), F),
+        ("goal-inhab-unary-sigma", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(unary), 2), F),
+        ("goal-inhab-noncode", "PrfGoal", ("inhab", "idx"), (junk, y, enc(sig2), 2), F),
+        ("goal-refl-sent", "PrfGoal", ("refl", "sent", 2, "Sigma", 1), (axiom_proof(refl_goal), enc(refl_goal), enc(sig2), 2), T),
+        ("goal-refl-sent-false", "PrfGoal", ("refl", "sent", 2, "Sigma", 1), (axiom_proof(refl_goal), enc(refl_goal), enc(sig2), 3), F),
+        ("goal-refl-idx", "PrfGoal", ("refl", "idx", 2, "Sigma", 1), (axiom_proof(refl_goal), y, enc(sig2), 2), F),
+        ("goal-refl-noncode", "PrfGoal", ("refl", "sent", 2, "Sigma", 1), (junk, enc(refl_goal), enc(sig2), 2), F),
+        ("goal-connum-sent", "PrfGoal", ("connum", "sent", 2), (axiom_proof(connum_goal), enc(connum_goal), ga), T),
+        ("goal-connum-sent-false", "PrfGoal", ("connum", "sent", 2), (axiom_proof(connum_goal), enc(connum_goal), gb), F),
+        ("goal-connum-idx", "PrfGoal", ("connum", "idx", 2), (axiom_proof(connum_goal), y, ga), F),
+        ("goal-connum-noncode", "PrfGoal", ("connum", "idx", 2), (junk, y, ga), F),
+        ("goal-unknown-kind", "PrfGoal", ("bogus", "sent"), (pb, gb), F),
+        # TrueSigma[n](x) / TruePi[n](x): sentences only
+        ("truesigma-true", "TrueSigma", (1,), (enc(ex_goal),), T),
+        ("truesigma-false", "TrueSigma", (1,), (enc(falsum()),), F),
+        ("truesigma-open", "TrueSigma", (1,), (enc(unary),), F),
+        ("truesigma-noncode", "TrueSigma", (1,), (junk,), F),
+        ("truepi-true", "TruePi", (1,), (enc(parse_formula("A x0<=S(S(S(0))). x0<=S(S(S(0)))")),), T),
+        ("truepi-class", "TruePi", (0,), (enc(ex_goal),), F),
+        ("truepi-unknown", "TruePi", (1,), (enc(All(0, LeAtom(Var(0), Succ(Var(0))))),), U),
+        ("truepi-noncode", "TruePi", (1,), (junk,), F),
+        # TrueSeqAt[kind,n](a, s, k): at most one free variable
+        ("trueseqat-true", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 0), T),
+        ("trueseqat-false", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 1), F),
+        ("trueseqat-closed", "TrueSeqAt", ("Pi", 0), (ga, coding.seq_encode([2, 5]), 1), T),
+        ("trueseqat-binary", "TrueSeqAt", ("Pi", 0), (enc(sig2), coding.seq_encode([2, 5]), 0), F),
+        ("trueseqat-range", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 2), F),
+        ("trueseqat-class", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("E x1. x1=x0")), coding.seq_encode([2]), 0), F),
+        ("trueseqat-noncode", "TrueSeqAt", ("Pi", 0), (junk, coding.seq_encode([2, 5]), 0), F),
+        ("trueseqat-nonseq", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), ga, 0), F),
+        # TrueClAt[kind,n](s, a, b): exactly two free variables
+        ("trueclat-true", "TrueClAt", ("Sigma", 1), (enc(parse_formula("x0<=x1")), 2, 5), T),
+        ("trueclat-false", "TrueClAt", ("Sigma", 1), (enc(parse_formula("x0<=x1")), 5, 2), F),
+        ("trueclat-unary", "TrueClAt", ("Sigma", 1), (enc(unary), 0, 0), F),
+        ("trueclat-class", "TrueClAt", ("Pi", 0), (enc(parse_formula("E x2. (x2=x0/\\x2=x1)")), 2, 2), F),
+        ("trueclat-noncode", "TrueClAt", ("Sigma", 1), (junk, 2, 5), F),
+    ]
+
+
+_ATOM_CASES = _atom_cases()
+
+
+@pytest.mark.parametrize(
+    "name,params,args,expected", [c[1:] for c in _ATOM_CASES], ids=[c[0] for c in _ATOM_CASES]
+)
+def test_atom_verdict_table(name, params, args, expected):
+    from conseq.semantics import eval_formula
+    from conseq.syntax import DAtom, code_literal
+
+    atom = DAtom(name, params, tuple(code_literal(v) for v in args))
+    assert eval_formula(atom, 20) == expected
+
+
+def test_every_family_has_an_evaluator():
+    import conseq  # noqa: F401  (installs the evaluators)
+    from conseq import registry
+
+    assert all(fam.evaluator is not None for fam in registry.families().values())
