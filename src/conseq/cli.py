@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import coding, craig, sequences, theories
+from . import coding, craig, registry, sequences, theories
 from .diagonal import fixed_point, verify_fixed_point
 from .hierarchy import classify
 from .semantics import eval_sentence
-from .syntax import SyntaxError_, free_vars, parse_formula, print_formula
+from .syntax import DAtom, Formula, SyntaxError_, free_vars, parse_formula, print_formula
 
 NUMERAL_NODE_CAP = 100_000
 
@@ -50,6 +50,24 @@ def _load_formula(text: str):
     return f
 
 
+def _load_registered(text: str):
+    """_load_formula for the commands that classify or evaluate: every
+    designated atom, also inside formula params, must be registered."""
+    f = _load_formula(text)
+    stack = [f]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, DAtom):
+            try:
+                registry.get_family(x.name)
+            except KeyError as e:
+                raise DomainError(e.args[0]) from None
+            stack.extend(p for p in x.params if isinstance(p, Formula))
+        else:
+            stack.extend(c for c in x._children() if isinstance(c, Formula))
+    return f
+
+
 def _read_spec(path: str) -> sequences.SequenceSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -65,7 +83,7 @@ def cmd_parse(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
-    f = _load_formula(args.formula)
+    f = _load_registered(args.formula)
     out.write(classify(f).text() + "\n")
     return 0
 
@@ -85,14 +103,14 @@ def cmd_decode(args, out) -> int:
         obj = coding.decode(n)
     except coding.NotACode as e:
         raise DomainError(f"not a code: {e}")
-    from .syntax import Formula, print_term
+    from .syntax import print_term
 
     out.write((print_formula(obj) if isinstance(obj, Formula) else print_term(obj)) + "\n")
     return 0
 
 
 def cmd_fixpoint(args, out) -> int:
-    f = _load_formula(args.formula)
+    f = _load_registered(args.formula)
     if args.hole not in free_vars(f):
         raise DomainError(f"hole variable x{args.hole} is not free in the formula")
     r = fixed_point(f, args.hole)
@@ -124,7 +142,7 @@ def cmd_craig(args, out) -> int:
 
 
 def cmd_eval(args, out) -> int:
-    f = _load_formula(args.formula)
+    f = _load_registered(args.formula)
     if free_vars(f):
         raise DomainError("eval expects a sentence (no free variables)")
     out.write(str(eval_sentence(f, args.budget)) + "\n")

@@ -12,6 +12,7 @@ non-codes, and membership of real formulas is tested at their actual codes.
 
 from __future__ import annotations
 
+import functools
 from typing import Union
 
 from . import refs
@@ -84,6 +85,11 @@ J_GEN = 0x34
 S_SEQ = 0x40
 
 MACHINE_DESC_TAG = 7  # first item of a machine description sequence
+
+
+# The one cache policy of the library: a bounded LRU over pure functions, so
+# eviction never changes a result; cache_info() reports hits and misses.
+cached = functools.lru_cache(maxsize=4096)
 
 
 class NotACode(ValueError):
@@ -545,10 +551,6 @@ def seq_decode(s: int) -> list[int]:
     return items
 
 
-def seq_length(s: int) -> int:
-    return len(seq_decode(s))
-
-
 def seq_at(s: int, k: int) -> int:
     items = seq_decode(s)
     if not (0 <= k < len(items)):
@@ -592,14 +594,19 @@ def machine_index(x: int, w: int, z: int, level: int) -> int:
     return seq_encode(items)
 
 
-def machine_parts(code: int):
-    """Inverse view of machine_index output: (level, x, z) or None."""
+@cached
+def machine_desc(code: int):
+    """Inverse of machine_index: (level, x, z, pads) or None."""
     try:
         items = seq_decode(code)
     except NotACode:
         return None
-    if len(items) < 4 or items[0] != MACHINE_DESC_TAG:
+    if len(items) < 4 or items[0] != MACHINE_DESC_TAG or any(items[4:]):
         return None
-    if any(p != 0 for p in items[4:]):
-        return None
-    return items[1], items[2], items[3]
+    return items[1], items[2], items[3], len(items) - 4
+
+
+def machine_parts(code: int):
+    """machine_desc without the padding count: (level, x, z) or None."""
+    desc = machine_desc(code)
+    return None if desc is None else desc[:3]

@@ -40,6 +40,7 @@ from .syntax import (
     max_var,
     numeral,
     substitute,
+    term_value,
 )
 
 
@@ -68,8 +69,6 @@ class FixedPointResult:
 
     @property
     def certificate_value(self) -> int:
-        from .syntax import term_value
-
         return term_value(self.certificate)
 
 

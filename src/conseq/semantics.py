@@ -16,24 +16,23 @@ scan would, so monotonicity and determinism are preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 from . import coding, craig, refs, registry, theories
 from .hierarchy import ComplexityClass, class_leq, classify
 from .syntax import (
-    Add,
+    VALUE_BIT_CAP,
     All,
     And,
     BAll,
     BEx,
     DAtom,
     EqAtom,
+    EvalError,
     Ex,
-    Exp,
     Formula,
     Imp,
     LeAtom,
-    Mul,
     Not,
     Or,
     Succ,
@@ -45,13 +44,10 @@ from .syntax import (
     free_vars,
     numeral,
     substitute,
+    term_value as term_value_env,
     term_vars,
 )
 from .theories import TheoryPresentation
-
-
-class EvalError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +359,23 @@ def axiom_membership(ref, f: Formula, budget: int) -> TV3:
     return FALSE
 
 
-def _axiom_test_for(ref, budget: int) -> AxiomTest:
+def _axiom_test(ref, budget: int, codes: tuple = ()) -> AxiomTest:
+    """Membership in the axioms of ref (a presentation, a reference, or None
+    for no axioms) plus the sentences whose codes are listed in codes."""
+    if isinstance(ref, TheoryPresentation):
+        ref = ref.ref
+
     def test(f: Formula) -> TV3:
-        return axiom_membership(ref, f, budget)
+        if codes and coding.encode(f) in codes:
+            return TRUE
+        return FALSE if ref is None else axiom_membership(ref, f, budget)
 
     return test
 
 
 def check_proof(T: Union[TheoryPresentation, refs.TheoryRef, str], proof: Proof, goal: Formula, budget: int = 64) -> bool:
     """True iff every step is justified over T and the last step is goal."""
-    ref = T.ref if isinstance(T, TheoryPresentation) else T
-    return check_proof_steps(_axiom_test_for(ref, budget), proof, goal)
+    return check_proof_steps(_axiom_test(T, budget), proof, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +524,7 @@ def canonical_proof(ref, k: int) -> Proof:
 def bounded_proof_search(T: TheoryPresentation, goal: Formula, budget: int) -> Optional[Proof]:
     """Tiny sound search: axiom, logical instance, or one modus-ponens step
     from an enumerated implication axiom.  None means not-found-within-budget."""
-    test = _axiom_test_for(T.ref, 64)
+    test = _axiom_test(T, 64)
     if test(goal).is_true():
         p = Proof((Step(goal, ("axiom",)),))
         return p
@@ -543,58 +545,6 @@ def bounded_proof_search(T: TheoryPresentation, goal: Formula, budget: int) -> O
             if ps is not None:
                 return Proof((Step(prem, ("logical", ps)), Step(ax, ("axiom",)), Step(goal, ("mp", 1, 0))))
     return None
-
-
-# ---------------------------------------------------------------------------
-# Term evaluation under an environment
-
-_VALUE_BIT_CAP = 4_000_000
-
-
-def term_value_env(t: Term, env: dict) -> int:
-    out: list[int] = []
-    stack: list[tuple] = [("t", t)]
-    while stack:
-        kind, x = stack.pop()
-        if kind == "t":
-            if isinstance(x, Zero):
-                out.append(0)
-            elif isinstance(x, Var):
-                if x.index not in env:
-                    raise EvalError(f"unbound variable x{x.index}")
-                out.append(env[x.index])
-            elif isinstance(x, Succ):
-                stack.append(("succ", None))
-                stack.append(("t", x.arg))
-            elif isinstance(x, (Add, Mul)):
-                stack.append(("add" if isinstance(x, Add) else "mul", None))
-                stack.append(("t", x.right))
-                stack.append(("t", x.left))
-            elif isinstance(x, Exp):
-                stack.append(("exp", None))
-                stack.append(("t", x.power))
-                stack.append(("t", x.base))
-            else:
-                raise TypeError(f"not a term: {x!r}")
-        elif kind == "succ":
-            out[-1] += 1
-        elif kind == "add":
-            b = out.pop()
-            out[-1] += b
-        elif kind == "mul":
-            b = out.pop()
-            r = out[-1] * b
-            if r.bit_length() > _VALUE_BIT_CAP:
-                raise OverflowError("term value exceeds size cap")
-            out[-1] = r
-        elif kind == "exp":
-            e = out.pop()
-            b = out.pop()
-            if b > 1 and e * b.bit_length() > _VALUE_BIT_CAP:
-                raise OverflowError("term value exceeds size cap")
-            out.append(b**e)
-    (v,) = out
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +606,7 @@ def _graph_contraction(f, budget: int, env: dict) -> Optional[TV3]:
             bval = term_value_env(f.bound, env)
             in_range = w <= bval
         except OverflowError:
-            in_range = w.bit_length() < _VALUE_BIT_CAP  # bound exceeds the cap
+            in_range = w.bit_length() < VALUE_BIT_CAP  # bound exceeds the cap
         if not in_range:
             return TRUE if not positive else FALSE
     if body is None:
@@ -829,7 +779,7 @@ def eval_formula(f: Formula, budget: int, env: Optional[dict] = None) -> TV3:
             for w in _suggest_witnesses(body, v, env, budget):
                 if bound_val is not None and w > bound_val:
                     continue
-                if bound_val is None and isinstance(f, (BEx, BAll)) and w.bit_length() >= _VALUE_BIT_CAP:
+                if bound_val is None and isinstance(f, (BEx, BAll)) and w.bit_length() >= VALUE_BIT_CAP:
                     continue
                 env2[v] = w
                 r = eval_formula(body, budget, env2)
@@ -860,35 +810,47 @@ def eval_sentence(f: Formula, budget: int) -> TV3:
     return eval_formula(f, budget, {})
 
 
-def eval_prf(T: Union[TheoryPresentation, refs.TheoryRef, str], p: int, x: int, budget: int = 64) -> TV3:
-    """Two-valued meta-evaluator behind Prf[T]: decode failures are false."""
+def _prove(p: int, goal_of: Callable[[Proof], Union[Formula, TV3]], test: AxiomTest) -> TV3:
+    """Shared tail of the Prf-family evaluators: decode the proof code p,
+    build the goal from the proof and check the proof against it.  Non-codes
+    are false; goal_of may return a verdict instead of a formula."""
     try:
         proof = decode_proof(p)
-        goal = coding.decode_formula(x)
+        goal = goal_of(proof)
     except coding.NotACode:
         return FALSE
-    return from_bool(check_proof(T, proof, goal, budget))
+    if isinstance(goal, TV3):
+        return goal
+    return from_bool(check_proof_steps(test, proof, goal))
+
+
+def eval_prf(T: Union[TheoryPresentation, refs.TheoryRef, str], p: int, x: int, budget: int = 64) -> TV3:
+    """Two-valued meta-evaluator behind Prf[T]: decode failures are false."""
+    return _prove(p, lambda proof: coding.decode_formula(x), _axiom_test(T, budget))
+
+
+def _truth(x: int, kind: str, level: int, values: tuple, arities: tuple, budget: int) -> TV3:
+    """Shared tail of the truth atoms: the formula coded x with its free
+    variables, in index order, bound to values, evaluated at budget-1.
+    Non-codes, a free-variable count outside arities and a class above
+    (kind, level) are false."""
+    s = coding.try_decode_formula(x)
+    if s is None:
+        return FALSE
+    fv = sorted(free_vars(s))
+    if len(fv) not in arities or not class_leq(classify(s), ComplexityClass(kind, level)):
+        return FALSE
+    return eval_formula(s, max(budget - 1, 0), dict(zip(fv, values)))
 
 
 def eval_truth(gamma: ComplexityClass, x: int, budget: int) -> TV3:
     """Meta-evaluator behind TrueSigma/TruePi: class mismatch and decode
     failure are false; otherwise budgeted evaluation of the decoded sentence."""
-    try:
-        s = coding.decode_formula(x)
-    except coding.NotACode:
-        return FALSE
-    if free_vars(s):
-        return FALSE
-    if not class_leq(classify(s), gamma):
-        return FALSE
-    return eval_formula(s, max(budget - 1, 0), {})
+    return _truth(x, gamma.kind, gamma.level, (), (0,), budget)
 
 
 # ---------------------------------------------------------------------------
 # Designated-atom evaluators
-
-_mcon_cache: dict = {}
-_diag_cache: dict = {}
 
 
 def _eval_axof(params, args, budget) -> TV3:
@@ -901,72 +863,31 @@ def _eval_axof(params, args, budget) -> TV3:
     return axiom_membership(ref, f, budget)
 
 
-def _eval_prf_atom(params, args, budget) -> TV3:
+def _single(params):
     (ref,) = params
-    p, g = args
-    return eval_prf(ref, p, g, budget)
+    return ref
 
 
-def _eval_prfx(params, args, budget) -> TV3:
-    (ref,) = params
-    p, g, e = args
-    try:
-        proof = decode_proof(p)
-        goal = coding.decode_formula(g)
-    except coding.NotACode:
-        return FALSE
-
-    def test(f: Formula) -> TV3:
-        if coding.encode(f) == e:
-            return TRUE
-        return axiom_membership(ref, f, budget)
-
-    return from_bool(check_proof_steps(test, proof, goal))
+# The axioms of each plain Prf-family atom (p, g, extra...): a theory
+# reference or None, and the extra sentence codes, read off the params and
+# the arguments after (p, g).
+_PRF_AXIOMS = {
+    "Prf": lambda params, extra: (_single(params), ()),
+    "PrfX": lambda params, extra: (_single(params), extra),
+    "PrfSent": lambda params, extra: (None, extra),
+    "PrfSentX": lambda params, extra: (None, extra),
+    "PrfMachX": lambda params, extra: (refs.Mach(extra[0]), extra[1:]),
+}
 
 
-def _sentence_axiom_test(codes: Iterable[int]) -> AxiomTest:
-    codeset = set(codes)
+def _eval_prf_family(name: str):
+    axioms = _PRF_AXIOMS[name]
 
-    def test(f: Formula) -> TV3:
-        return from_bool(coding.encode(f) in codeset)
+    def ev(params, args, budget) -> TV3:
+        ref, codes = axioms(params, tuple(args[2:]))
+        return _prove(args[0], lambda proof: coding.decode_formula(args[1]), _axiom_test(ref, budget, codes))
 
-    return test
-
-
-def _eval_prfsent(params, args, budget) -> TV3:
-    p, g, s = args
-    try:
-        proof = decode_proof(p)
-        goal = coding.decode_formula(g)
-    except coding.NotACode:
-        return FALSE
-    return from_bool(check_proof_steps(_sentence_axiom_test([s]), proof, goal))
-
-
-def _eval_prfsentx(params, args, budget) -> TV3:
-    p, g, s, e = args
-    try:
-        proof = decode_proof(p)
-        goal = coding.decode_formula(g)
-    except coding.NotACode:
-        return FALSE
-    return from_bool(check_proof_steps(_sentence_axiom_test([s, e]), proof, goal))
-
-
-def _eval_prfmachx(params, args, budget) -> TV3:
-    p, g, y, e = args
-    try:
-        proof = decode_proof(p)
-        goal = coding.decode_formula(g)
-    except coding.NotACode:
-        return FALSE
-
-    def test(f: Formula) -> TV3:
-        if coding.encode(f) == e:
-            return TRUE
-        return axiom_membership(refs.Mach(y), f, budget)
-
-    return from_bool(check_proof_steps(test, proof, goal))
+    return ev
 
 
 def _eval_prfidx(params, args, budget) -> TV3:
@@ -984,16 +905,13 @@ def _eval_prfidx(params, args, budget) -> TV3:
 def _eval_prfex(params, args, budget) -> TV3:
     (ref,) = params
     k, a = args
-    try:
-        proof = decode_proof(k)
+
+    def goal_of(proof):
         body = coding.decode_formula(a)
-    except coding.NotACode:
-        return FALSE
-    fv = sorted(free_vars(body))
-    if len(fv) != 1:
-        return FALSE
-    goal = Ex(fv[0], body)
-    return from_bool(check_proof_steps(_axiom_test_for(ref, budget), proof, goal))
+        fv = sorted(free_vars(body))
+        return Ex(fv[0], body) if len(fv) == 1 else FALSE
+
+    return _prove(k, goal_of, _axiom_test(ref, budget))
 
 
 def _numeral_height(t: Term) -> Optional[int]:
@@ -1036,77 +954,57 @@ def _eval_prfsub(params, args, budget) -> TV3:
     (ref,) = params
     if len(args) < 2:
         return FALSE
-    p, fcode = args[0], args[1]
     vals = list(args[2:])
-    try:
-        proof = decode_proof(p)
-        base = coding.decode_formula(fcode)
-    except coding.NotACode:
-        return FALSE
-    fv = sorted(free_vars(base))
-    if len(fv) != len(vals):
-        return FALSE
-    goal = proof.conclusion
-    if not _matches_numeral_subst(goal, base, fv, vals):
-        return FALSE
-    return from_bool(check_proof_steps(_axiom_test_for(ref, budget), proof, goal))
+
+    def goal_of(proof):
+        base = coding.decode_formula(args[1])
+        fv = sorted(free_vars(base))
+        if not proof.steps or len(fv) != len(vals):
+            return FALSE
+        return proof.conclusion if _matches_numeral_subst(proof.conclusion, base, fv, vals) else FALSE
+
+    return _prove(args[0], goal_of, _axiom_test(ref, budget))
 
 
 def _eval_prfgoal(params, args, budget) -> TV3:
     goalkind, thykind = params[0], params[1]
-    try:
-        proof = decode_proof(args[0])
-    except coding.NotACode:
-        return FALSE
-    y = args[1]
-    if goalkind == "marker":
-        goal: Formula = theories.marker_sentence(params[2])
-    elif goalkind == "inhab":
-        scode, x = args[2], args[3]
-        if x > 100_000:
-            return UNKNOWN  # the goal's numeral cannot be materialized
-        sigma = coding.try_decode_formula(scode)
-        if sigma is None:
-            return FALSE
-        fv = sorted(free_vars(sigma))
-        if len(fv) != 2:
-            return FALSE
-        inst = substitute(sigma, fv[0], numeral(x + 1))
-        goal = Ex(fv[1], inst)
-    elif goalkind == "refl":
-        m, kind, lvl = params[2], params[3], params[4]
-        scode, x = args[2], args[3]
-        zv = 0
-        t_atom = DAtom(
-            "TrueClAt", (kind, lvl), (code_literal(scode), code_literal(x + 1), Var(zv))
-        )
-        if thykind == "idx":
-            mcon = theories.ncon_machine_of(m, Var(zv), 1)
-        else:
-            mcon = theories.ncon_sent_of(m, Var(zv), 1)
-        goal = All(zv, Imp(t_atom, mcon))
-    elif goalkind == "connum":
-        m = params[2]
-        z = args[2]
-        if thykind == "idx":
-            goal = theories.ncon_machine_of(m, code_literal(z), 0)
-        else:
-            goal = theories.ncon_sent_of(m, code_literal(z), 0)
-    else:
+    if len(args) < 2:
         return FALSE
 
-    if thykind == "sent":
-        test = _sentence_axiom_test([y])
-    else:
-        test = _axiom_test_for(refs.Mach(y), budget)
-    return from_bool(check_proof_steps(test, proof, goal))
+    ncon = theories.ncon_machine_of if thykind == "idx" else theories.ncon_sent_of
+
+    def goal_of(proof):
+        if goalkind == "marker":
+            return theories.marker_sentence(params[2])
+        if goalkind == "inhab":
+            scode, x = args[2], args[3]
+            if x > 100_000:
+                return UNKNOWN  # the goal's numeral cannot be materialized
+            sigma = coding.decode_formula(scode)
+            fv = sorted(free_vars(sigma))
+            if len(fv) != 2:
+                return FALSE
+            return Ex(fv[1], substitute(sigma, fv[0], numeral(x + 1)))
+        if goalkind == "refl":
+            m, kind, lvl = params[2], params[3], params[4]
+            scode, x = args[2], args[3]
+            zv = 0
+            t_atom = DAtom("TrueClAt", (kind, lvl), (code_literal(scode), code_literal(x + 1), Var(zv)))
+            return All(zv, Imp(t_atom, ncon(m, Var(zv), 1)))
+        if goalkind == "connum":
+            return ncon(params[2], code_literal(args[2]), 0)
+        return FALSE
+
+    y = args[1]
+    test = _axiom_test(None, budget, (y,)) if thykind == "sent" else _axiom_test(refs.Mach(y), budget)
+    return _prove(args[0], goal_of, test)
 
 
 def _eval_true(kind: str):
     def ev(params, args, budget) -> TV3:
         (n,) = params
         (x,) = args
-        return eval_truth(ComplexityClass(kind, n) if n > 0 else ComplexityClass(kind, 0), x, budget)
+        return eval_truth(ComplexityClass(kind, n), x, budget)
 
     return ev
 
@@ -1114,36 +1012,17 @@ def _eval_true(kind: str):
 def _eval_trueseqat(params, args, budget) -> TV3:
     kind, n = params
     a, s, k = args
-    body = coding.try_decode_formula(a)
-    if body is None:
-        return FALSE
     try:
         w = coding.seq_at(s, k)
     except (coding.NotACode, IndexError):
         return FALSE
-    fv = sorted(free_vars(body))
-    if len(fv) > 1:
-        return FALSE
-    gamma = ComplexityClass(kind, n)
-    if not class_leq(classify(body), gamma):
-        return FALSE
-    env = {fv[0]: w} if fv else {}
-    return eval_formula(body, max(budget - 1, 0), env)
+    return _truth(a, kind, n, (w,), (0, 1), budget)
 
 
 def _eval_trueclat(params, args, budget) -> TV3:
     kind, n = params
     s, a, b = args
-    body = coding.try_decode_formula(s)
-    if body is None:
-        return FALSE
-    fv = sorted(free_vars(body))
-    if len(fv) != 2:
-        return FALSE
-    gamma = ComplexityClass(kind, n)
-    if not class_leq(classify(body), gamma):
-        return FALSE
-    return eval_formula(body, max(budget - 1, 0), {fv[0]: a, fv[1]: b})
+    return _truth(s, kind, n, (a, b), (2,), budget)
 
 
 def _eval_inclass(kind: str):
@@ -1158,16 +1037,11 @@ def _eval_inclass(kind: str):
     return ev
 
 
+@coding.cached
 def _diag_cached(z: int, i: int):
-    key = (z, i)
-    if key in _diag_cache:
-        return _diag_cache[key]
     from .diagonal import diag_value
 
-    w = diag_value(z, i)
-    if len(_diag_cache) < 4096:
-        _diag_cache[key] = w
-    return w
+    return diag_value(z, i)
 
 
 def _eval_diag(params, args, budget) -> TV3:
@@ -1197,31 +1071,10 @@ def _solve_seqat(params, vals):
         return None
 
 
-_machdesc_cache: dict = {}
-
-
-def _machine_parts4(y: int):
-    """(level, x, z, pads) when y is a machine description code, else None;
-    cached because index evaluation probes the same y many times."""
-    if y in _machdesc_cache:
-        return _machdesc_cache[y]
-    out = None
-    try:
-        items = coding.seq_decode(y)
-        if len(items) >= 4 and items[0] == coding.MACHINE_DESC_TAG and all(p == 0 for p in items[4:]):
-            out = (items[1], items[2], items[3], len(items) - 4)
-    except coding.NotACode:
-        out = None
-    if len(_machdesc_cache) < 1_000_000:
-        _machdesc_cache[y] = out
-    return out
-
-
 def _eval_machidx(params, args, budget) -> TV3:
     (m,) = params
     x, w, z, y = args
-    parts = _machine_parts4(y)
-    return from_bool(parts is not None and parts == (m, x, z, w))
+    return from_bool(coding.machine_desc(y) == (m, x, z, w))
 
 
 def _solve_machidx(params, vals):
@@ -1246,22 +1099,18 @@ def _suggest_machidx(params, arg_terms, v, env, budget):
         y = term_value_env(y_t, env)
     except (OverflowError, EvalError):
         return []
-    parts = _machine_parts4(y)
-    if parts is None or parts[0] != m:
+    desc = coding.machine_desc(y)
+    if desc is None or desc[0] != m:
         return []
-    return [parts[3]]
+    return [desc[3]]
 
 
+@coding.cached
 def _mcon_slice_code(m: int, n: int, z: int) -> Optional[int]:
-    key = (m, n, z)
-    if key in _mcon_cache:
-        return _mcon_cache[key]
     tau = coding.try_decode_formula(z)
-    out: Optional[int] = None
-    if tau is not None and len(free_vars(tau)) == 2:
-        out = coding.encode(theories.ncon_of_slice(m, tau, n + 1))
-    _mcon_cache[key] = out
-    return out
+    if tau is None or len(free_vars(tau)) != 2:
+        return None
+    return coding.encode(theories.ncon_of_slice(m, tau, n + 1))
 
 
 _SMALL_CODE_BITS = 700  # any reflection formula codes far above this
@@ -1384,14 +1233,10 @@ def _eval_zfax(params, args, budget) -> TV3:
 
 
 def _install() -> None:
-    fam = registry.families()
     reg = registry.get_family
     reg("AxOf").evaluator = _eval_axof
-    reg("Prf").evaluator = _eval_prf_atom
-    reg("PrfX").evaluator = _eval_prfx
-    reg("PrfSent").evaluator = _eval_prfsent
-    reg("PrfSentX").evaluator = _eval_prfsentx
-    reg("PrfMachX").evaluator = _eval_prfmachx
+    for name in _PRF_AXIOMS:
+        reg(name).evaluator = _eval_prf_family(name)
     reg("PrfIdx").evaluator = _eval_prfidx
     reg("PrfEx").evaluator = _eval_prfex
     reg("PrfSub").evaluator = _eval_prfsub

@@ -52,6 +52,7 @@ from .theories import (
     TheoryPresentation,
     falsum_literal,
     in_class_atom,
+    marker_sentence,
     ncon_machine_of,
     ncon_sent_of,
     standard_theory,
@@ -349,7 +350,7 @@ def _x_term(shift_by: int):
     return t
 
 
-def ds_components(variant: str, m: int, sigma_class: Optional[ComplexityClass] = None, shift_by: int = 0) -> dict:
+def ds_components(variant: str, m: int, shift_by: int = 0) -> dict:
     """The four theta blocks of the chosen DS variant, over the sigma code
     variable x0.  shift_by builds the blocks for the shifted sequence
     sigma(x+shift, y)."""
@@ -357,8 +358,6 @@ def ds_components(variant: str, m: int, sigma_class: Optional[ComplexityClass] =
         raise SequenceError("DS sentences require m >= 2")
     if variant not in DS_VARIANTS:
         raise SequenceError(f"unknown DS variant {variant!r}")
-    if sigma_class is None:
-        sigma_class = Sigma(m)
     sig = Var(SIGMA_V)
     xt = _x_term(shift_by)
 
@@ -367,9 +366,6 @@ def ds_components(variant: str, m: int, sigma_class: Optional[ComplexityClass] =
         t_at = lambda a, b: DAtom("TrueClAt", lvl, (sig, a, b))  # noqa: E731
         start = numeral(shift_by)
         theta1 = All(X_V, Imp(t_at(start, Var(X_V)), ncon_sent_of(m, Var(X_V), 5)))
-        marker = standard_theory("BSigma1")  # ensure stream exists
-        from .theories import marker_sentence
-
         theta2 = All(X_V, t_at(xt, code_literal(coding.encode(marker_sentence("BSigma1")))))
         theta3 = All(
             X_V,
@@ -403,8 +399,6 @@ def ds_components(variant: str, m: int, sigma_class: Optional[ComplexityClass] =
         t_at = lambda a, b: DAtom("TrueClAt", lvl, (sig, a, b))  # noqa: E731
         start = numeral(shift_by)
         theta1 = Ex(X_V, And(t_at(start, Var(X_V)), ncon_machine_of(m, Var(X_V), 5)))
-        from .theories import marker_sentence  # noqa: F811
-
         theta2 = All(
             X_V,
             All(
@@ -474,7 +468,7 @@ def ds_sentence(variant: str, m: int, sigma_class: Optional[ComplexityClass] = N
     """E sigma in the stated class (theta1 /\\ theta2 /\\ theta3 /\\ theta4)."""
     if sigma_class is None:
         sigma_class = Sigma(m)
-    th = ds_components(variant, m, sigma_class)
+    th = ds_components(variant, m)
     guard = in_class_atom(sigma_class.kind, sigma_class.level, Var(SIGMA_V))
     body = And(guard, And(th["theta1"], And(th["theta2"], And(th["theta3"], th["theta4"]))))
     return Ex(SIGMA_V, body)
@@ -504,16 +498,19 @@ def spec_to_json(spec: SequenceSpec) -> str:
 
 def spec_from_json(text: str) -> SequenceSpec:
     d = json.loads(text)
-    cls = ComplexityClass(
-        d["declared_class"]["kind"], d["declared_class"]["level"], d["declared_class"]["modulo"]
-    )
-    return SequenceSpec(
-        construction=d["construction"],
-        encoding=d["encoding"],
-        tau=parse_formula(d["tau"]),
-        declared_class=cls,
-        base=standard_theory(d["base"]),
-        level=d["m"],
-        mu_exists=parse_formula(d["mu_exists"]) if d.get("mu_exists") else None,
-        culprit=d.get("culprit"),
-    )
+    try:
+        cls = ComplexityClass(
+            d["declared_class"]["kind"], d["declared_class"]["level"], d["declared_class"]["modulo"]
+        )
+        return SequenceSpec(
+            construction=d["construction"],
+            encoding=d["encoding"],
+            tau=parse_formula(d["tau"]),
+            declared_class=cls,
+            base=standard_theory(d["base"]),
+            level=d["m"],
+            mu_exists=parse_formula(d["mu_exists"]) if d.get("mu_exists") else None,
+            culprit=d.get("culprit"),
+        )
+    except KeyError as e:
+        raise SequenceError(f"spec lacks the key {e.args[0]!r}") from None

@@ -13,7 +13,7 @@ equality tests never recurse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class SyntaxError_(ValueError):
@@ -22,6 +22,10 @@ class SyntaxError_(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+class EvalError(ValueError):
+    """Evaluation failure: an unbound variable, an open sentence, ..."""
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +463,15 @@ def code_literal(n: int) -> Term:
     return t
 
 
-def term_value(t: Term, max_bits: int = 10_000_000) -> int:
-    """Evaluate a closed term; iterative.  Raises on free variables or when
-    an intermediate value exceeds max_bits bits."""
+# Largest intermediate value, in bits, that term evaluation will build.
+VALUE_BIT_CAP = 4_000_000
+
+
+def term_value(t: Term, env: Optional[dict] = None) -> int:
+    """Value of a term with its variables read from env; iterative.  Raises
+    EvalError on a variable env does not bind, OverflowError when an
+    intermediate value exceeds VALUE_BIT_CAP bits."""
+    env = {} if env is None else env
     out: list[int] = []
     stack: list[tuple] = [("t", t)]
     while stack:
@@ -470,7 +480,9 @@ def term_value(t: Term, max_bits: int = 10_000_000) -> int:
             if isinstance(x, Zero):
                 out.append(0)
             elif isinstance(x, Var):
-                raise ValueError("term is not closed")
+                if x.index not in env:
+                    raise EvalError(f"unbound variable x{x.index}")
+                out.append(env[x.index])
             elif isinstance(x, Succ):
                 stack.append(("succ", None))
                 stack.append(("t", x.arg))
@@ -491,13 +503,14 @@ def term_value(t: Term, max_bits: int = 10_000_000) -> int:
             out[-1] += b
         elif kind == "mul":
             b = out.pop()
-            out[-1] *= b
-            if out[-1].bit_length() > max_bits:
+            r = out[-1] * b
+            if r.bit_length() > VALUE_BIT_CAP:
                 raise OverflowError("term value exceeds size cap")
+            out[-1] = r
         elif kind == "exp":
             e = out.pop()
             b = out.pop()
-            if b.bit_length() * max(e, 1) > max_bits and not (b <= 1):
+            if b > 1 and e * b.bit_length() > VALUE_BIT_CAP:
                 raise OverflowError("term value exceeds size cap")
             out.append(b**e)
     (v,) = out
@@ -657,16 +670,6 @@ def substitute(f: Formula, v: int, t: Term) -> Formula:
         raise TypeError(f"not a formula: {g!r}")
 
     return go(f, v, t, t_vars)
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        for c in g._children():
-            if isinstance(c, Formula):
-                stack.append(c)
 
 
 # ---------------------------------------------------------------------------

@@ -235,36 +235,30 @@ def member_of_named(name: str, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Standard presentations
 
-_STANDARD_CACHE: dict[str, TheoryPresentation] = {}
 
-
+@coding.cached
 def standard_theory(name: str) -> TheoryPresentation:
     """Q, EA, PA, ZFstub, BSigma<n>, ISigma<n>."""
-    if name in _STANDARD_CACHE:
-        return _STANDARD_CACHE[name]
     ref = refs.Named(name)
     mc = coding.encode_ref(ref)
     ax = DAtom("AxOf", (name,), (Var(0),))
     if name == "Q":
-        pres = TheoryPresentation(name, ref, ax, lambda i: _Q_AXIOMS[i], mc, finite_size=8)
+        return TheoryPresentation(name, ref, ax, lambda i: _Q_AXIOMS[i], mc, finite_size=8)
     elif name == "ZFstub":
-        pres = TheoryPresentation(name, ref, ax, lambda i: _ZF_MARKERS[i], mc, finite_size=10)
+        return TheoryPresentation(name, ref, ax, lambda i: _ZF_MARKERS[i], mc, finite_size=10)
     elif name == "EA":
-        pres = TheoryPresentation(name, ref, ax, _ea_axiom, mc)
+        return TheoryPresentation(name, ref, ax, _ea_axiom, mc)
     elif name == "PA":
-        pres = TheoryPresentation(name, ref, ax, _interleave(_ea_axiom, _pa_axiom_odd), mc)
+        return TheoryPresentation(name, ref, ax, _interleave(_ea_axiom, _pa_axiom_odd), mc)
     elif (n := _name_level(name, "BSigma")) is not None:
-        pres = TheoryPresentation(
+        return TheoryPresentation(
             name, ref, ax, _interleave(_ea_axiom, lambda i, n=n: collection_axiom(n, i)), mc
         )
     elif (n := _name_level(name, "ISigma")) is not None:
-        pres = TheoryPresentation(
+        return TheoryPresentation(
             name, ref, ax, _interleave(_ea_axiom, lambda i, n=n: induction_axiom(n, i)), mc
         )
-    else:
-        raise TheoryError(f"unknown theory name {name!r}")
-    _STANDARD_CACHE[name] = pres
-    return pres
+    raise TheoryError(f"unknown theory name {name!r}")
 
 
 def extend(base: TheoryPresentation, phi: Formula) -> TheoryPresentation:
@@ -539,24 +533,12 @@ def toy_inconsistent_theory() -> tuple[TheoryPresentation, "object"]:
     return pres, proof
 
 
-_RESOLVE_CACHE: dict = {}
-
-
+@coding.cached
 def resolve_ref(ref: refs.TheoryRef) -> TheoryPresentation:
     """Presentation for a reference; SlipExt has membership semantics only
     and resolves to its base presentation for enumeration purposes."""
     if isinstance(ref, str):
         ref = refs.Named(ref)
-    cached = _RESOLVE_CACHE.get(ref)
-    if cached is not None:
-        return cached
-    out = _resolve_ref_uncached(ref)
-    if len(_RESOLVE_CACHE) < 4096:
-        _RESOLVE_CACHE[ref] = out
-    return out
-
-
-def _resolve_ref_uncached(ref: refs.TheoryRef) -> TheoryPresentation:
     if isinstance(ref, refs.Named):
         return standard_theory(ref.name)
     if isinstance(ref, refs.Ext):
@@ -570,15 +552,11 @@ def _resolve_ref_uncached(ref: refs.TheoryRef) -> TheoryPresentation:
     if isinstance(ref, refs.SlipExt):
         return resolve_ref(ref.base)
     if isinstance(ref, refs.Mach):
-        stream = machine_stream(ref.code)
-        parts = coding.machine_parts(ref.code)
-        assert parts is not None
-        base = standard_theory(f"BSigma{parts[0]}")
         return TheoryPresentation(
             f"mach({ref.code % 10**6}...)",
             ref,
             DAtom("AxOf", (ref,), (Var(0),)),
-            stream,
+            machine_stream(ref.code),
             ref.code,
         )
     if isinstance(ref, refs.CraigRef):

@@ -110,3 +110,31 @@ def test_determinism_byte_identical():
         _, a = _run(argv)
         _, b = _run(argv)
         assert a == b
+
+
+def test_unregistered_atom_is_a_domain_error():
+    for argv in (
+        ["eval", "Foo(0)", "--budget", "5"],
+        ["classify", "(0=0/\\Foo(0))"],
+        ["fixpoint", "Foo(x1)", "--hole", "1"],
+        ["eval", "SliceConj[{Foo(x0)}](0,0,0)", "--budget", "5"],
+    ):
+        code, text = _run(argv)
+        assert code == 1 and text == "error: unknown designated atom 'Foo'\n"
+    # syntax does not check atom names
+    assert _run(["parse", "Foo(0)"]) == (0, "Foo(0)\n")
+    code, text = _run(["encode", "Foo(0)"])
+    assert code == 0 and text.strip().isdigit()
+
+
+def test_spec_without_a_key_is_a_domain_error(tmp_path):
+    import json
+
+    from conseq import sequences
+
+    d = json.loads(sequences.spec_to_json(sequences.sigma_slice_sequence(2, theories.standard_theory("EA"))))
+    del d["declared_class"]
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_text(json.dumps(d))
+    code, text = _run(["seq", "slice", str(spec_file), "--n", "0", "--bound", "3", "--budget", "10"])
+    assert code == 1 and text == "error: spec lacks the key 'declared_class'\n"

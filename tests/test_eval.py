@@ -3,7 +3,7 @@ import random
 import pytest
 
 import second_verifier
-from conseq import coding
+from conseq import coding, refs, registry, theories
 from conseq.craig import equivalence_certificates, pad_conjunction
 from conseq.gen import random_decidable_sentence, random_formula
 from conseq.hierarchy import Pi, Sigma
@@ -18,15 +18,18 @@ from conseq.semantics import (
     check_proof,
     decode_proof,
     encode_proof,
+    eval_formula,
     eval_prf,
     eval_sentence,
     eval_truth,
     kleene_and,
     kleene_or,
+    logical_instance,
 )
 from conseq.syntax import (
     All,
     And,
+    DAtom,
     EqAtom,
     Ex,
     Imp,
@@ -36,6 +39,7 @@ from conseq.syntax import (
     Succ,
     Var,
     ZERO,
+    code_literal,
     falsum,
     numeral,
     parse_formula,
@@ -296,9 +300,6 @@ def test_bounded_proof_search():
 
 
 def _atom_cases():
-    from conseq import refs, theories
-    from conseq.semantics import logical_instance
-
     enc = coding.encode
 
     def axiom_proof(f):
@@ -328,8 +329,6 @@ def _atom_cases():
     marker = theories.marker_sentence("BSigma1")
     sig2 = parse_formula("x0=x1")
     inhab_goal = Ex(1, parse_formula("S(S(S(0)))=x1"))  # sigma at x0 := numeral(2+1)
-    from conseq.syntax import DAtom, code_literal
-
     refl_goal = All(
         0,
         Imp(
@@ -383,6 +382,7 @@ def _atom_cases():
         ("prfsub-other-value", "PrfSub", ("EA",), (p_three, enc(base), 2), F),
         ("prfsub-arity", "PrfSub", ("EA",), (p_three, enc(base)), F),
         ("prfsub-noncode", "PrfSub", ("EA",), (junk, enc(base), 3), F),
+        ("prfsub-empty-proof", "PrfSub", ("EA",), (encode_proof(Proof(())), enc(base), 0), F),
         # PrfGoal[goal, thy, ...](p, y, ...)
         ("goal-marker-sent", "PrfGoal", ("marker", "sent", "BSigma1"), (axiom_proof(marker), enc(marker)), T),
         ("goal-marker-sent-false", "PrfGoal", ("marker", "sent", "BSigma1"), (axiom_proof(marker), ga), F),
@@ -439,15 +439,15 @@ _ATOM_CASES = _atom_cases()
     "name,params,args,expected", [c[1:] for c in _ATOM_CASES], ids=[c[0] for c in _ATOM_CASES]
 )
 def test_atom_verdict_table(name, params, args, expected):
-    from conseq.semantics import eval_formula
-    from conseq.syntax import DAtom, code_literal
-
     atom = DAtom(name, params, tuple(code_literal(v) for v in args))
     assert eval_formula(atom, 20) == expected
 
 
 def test_every_family_has_an_evaluator():
-    import conseq  # noqa: F401  (installs the evaluators)
-    from conseq import registry
-
     assert all(fam.evaluator is not None for fam in registry.families().values())
+
+
+def test_prfgoal_without_a_theory_argument_is_false():
+    p = encode_proof(Proof((Step(parse_formula("0=0"), ("axiom",)),)))
+    atom = DAtom("PrfGoal", ("marker", "sent", "BSigma1"), (code_literal(p),))
+    assert eval_formula(atom, 20) == FALSE
