@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from conseq import refs
 from conseq.coding import (
     ArityMismatch,
     NotACode,
     decode,
+    decode_ref,
     encode,
+    encode_ref,
     machine_index,
     machine_parts,
     seq_at,
@@ -15,12 +18,97 @@ from conseq.coding import (
     subst_code,
 )
 from conseq.gen import random_formula
-from conseq.syntax import EqAtom, Var, ZERO, numeral, parse_formula, substitute
+from conseq.semantics import Proof, Step, decode_proof, encode_proof
+from conseq.syntax import (
+    Add,
+    All,
+    And,
+    BAll,
+    BEx,
+    DAtom,
+    EqAtom,
+    Ex,
+    Exp,
+    Imp,
+    LeAtom,
+    Mul,
+    Not,
+    Or,
+    Succ,
+    Var,
+    ZERO,
+    numeral,
+    parse_formula,
+    substitute,
+)
 
 
 def test_zero_constant():
     # sentinel byte 0x5A followed by the zero tag 0x01
     assert encode(ZERO) == 0x5A01
+
+
+_x0, _x1, _one = Var(0), Var(1), Succ(ZERO)
+_eq = EqAtom(_x0, ZERO)
+_le = LeAtom(_x0, _x0)
+
+# One object per node tag, per atom-parameter kind, per theory-reference kind,
+# plus one proof and one sequence, with the exact code docs/coding.md gives it.
+GOLDEN_CODES = [
+    ("zero", ZERO, 0x5A01),
+    ("var", Var(300), 0x5A02AC02),
+    ("succ", _one, 0x5A0301),
+    ("add", Add(_x0, _one), 0x5A0402000301),
+    ("mul", Mul(_one, _x1), 0x5A0503010201),
+    ("exp", Exp(_x1, _x0), 0x5A0602010200),
+    ("eq", _eq, 0x5A10020001),
+    ("le", LeAtom(_x1, _one), 0x5A1102010301),
+    ("atom", DAtom("SeqAt", (), (_x0, _one, _x1)), 0x5A120553657141740003020003010201),
+    ("not", Not(_eq), 0x5A1310020001),
+    ("and", And(_eq, LeAtom(_x0, _x1)), 0x5A14100200011102000201),
+    ("or", Or(_eq, Not(_eq)), 0x5A15100200011310020001),
+    ("imp", Imp(Not(_eq), _eq), 0x5A16131002000110020001),
+    ("all", All(0, _eq), 0x5A170010020001),
+    ("ex", Ex(130, _eq), 0x5A18820110020001),
+    ("ball", BAll(0, _x1, _eq), 0x5A1900020110020001),
+    ("bex", BEx(2, Add(_x0, _x1), _eq), 0x5A1A02040200020110020001),
+    ("param-nat", DAtom("InSigma", (70000,), (_x0,)), 0x5A1207496E5369676D61012003011170010200),
+    ("param-str", DAtom("TrueSigma", ("Sigma", 1), (_x0,)), 0x5A1209547275655369676D610221055369676D61200101010200),
+    ("param-ref", DAtom("Prf", (refs.Ext(refs.Named("EA"), 5),), (_x0, _x1)), 0x5A12035072660122020102454101050202000201),
+    ("param-formula", DAtom("F", (All(1, _eq),), ()), 0x5A120146012317011002000100),
+    ("param-term", DAtom("F", (Mul(_x0, _one),), (ZERO,)), 0x5A120146012405020003010101),
+    ("ref-named", refs.Named("EA"), 0x5A2201024541),
+    ("ref-ext", refs.Ext(refs.Named("Q"), 300), 0x5A220201015102012C),
+    ("ref-slipext", refs.SlipExt(refs.Named("EA"), 0, 1 << 20), 0x5A2203010245410003100000),
+    ("ref-momega", refs.MOmega(2, refs.Named("EA")), 0x5A2204010201024541),
+    ("ref-mach", refs.Mach(256), 0x5A2205020100),
+    ("ref-craig", refs.CraigRef(refs.Mach(9)), 0x5A2206050109),
+    (
+        "proof",
+        Proof(
+            (
+                Step(_eq, ("axiom",)),
+                Step(Imp(_eq, Imp(_le, _eq)), ("logical", "K")),
+                Step(Imp(_le, _eq), ("mp", 0, 1)),
+                Step(All(0, Imp(_le, _eq)), ("gen", 2)),
+            )
+        ),
+        0x5A300410020001311610020001161102000200100200013200161102000200100200013300011700161102000200100200013402,
+    ),
+    ("sequence", [0, 5, 300, 1 << 64], 0x5A400400010502012C09010000000000000000),
+]
+
+
+@pytest.mark.parametrize("obj,code", [g[1:] for g in GOLDEN_CODES], ids=[g[0] for g in GOLDEN_CODES])
+def test_golden_codes(obj, code):
+    if isinstance(obj, Proof):
+        assert encode_proof(obj) == code and decode_proof(code) == obj
+    elif isinstance(obj, list):
+        assert seq_encode(obj) == code and seq_decode(code) == obj
+    elif isinstance(obj, (refs.Named, refs.Ext, refs.SlipExt, refs.MOmega, refs.Mach, refs.CraigRef)):
+        assert encode_ref(obj) == code and decode_ref(code) == obj
+    else:
+        assert encode(obj) == code and decode(code) == obj
 
 
 def test_roundtrip_corpus():
