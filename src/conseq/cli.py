@@ -297,6 +297,10 @@ def run(argv: list[str], out=None) -> int:
     except (DomainError, SyntaxError_, coding.NotACode, theories.TheoryError, sequences.SequenceError, ValueError) as e:
         out.write(f"error: {e}\n")
         return 1
+    except RecursionError:
+        # eval_formula and formula-level substitute recurse once per connective
+        out.write("error: formula nested too deeply\n")
+        return 1
 
 
 def main() -> None:

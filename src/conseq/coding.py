@@ -319,7 +319,27 @@ def serialize(node) -> bytes:
 # ---------------------------------------------------------------------------
 # Deserialization (iterative with reduction frames)
 
-_TERM_ARITY = {T_ZERO: 0, T_VAR: 0, T_SUCC: 1, T_ADD: 2, T_MUL: 2, T_EXP: 2}
+# tag -> (node class, whether varint(index/var) follows the tag, number of
+# children); the children follow in field order.  The designated atom (F_ATOM)
+# is the one kind with its own layout.
+_NODE_LAYOUT = {
+    T_ZERO: (Zero, False, 0),
+    T_VAR: (Var, True, 0),
+    T_SUCC: (Succ, False, 1),
+    T_ADD: (Add, False, 2),
+    T_MUL: (Mul, False, 2),
+    T_EXP: (Exp, False, 2),
+    F_EQ: (EqAtom, False, 2),
+    F_LE: (LeAtom, False, 2),
+    F_NOT: (Not, False, 1),
+    F_AND: (And, False, 2),
+    F_OR: (Or, False, 2),
+    F_IMP: (Imp, False, 2),
+    F_ALL: (All, True, 1),
+    F_EX: (Ex, True, 1),
+    F_BALL: (BAll, True, 2),
+    F_BEX: (BEx, True, 2),
+}
 
 
 def _read_ref(r: _Reader):
@@ -365,105 +385,49 @@ def _read_param(r: _Reader):
 
 
 def _read_node(r: _Reader):
-    # frames: (builder-tag, static-data, want, got-list)
+    # frames: [class, leading constructor args, children wanted, children got]
     frames: list[list] = []
-    result = None
     while True:
-        if result is None:
-            tag = r.byte()
-            if tag == T_ZERO:
-                result = ZERO
-            elif tag == T_VAR:
-                result = Var(r.varint())
-            elif tag == T_SUCC:
-                frames.append(["succ", None, 1, []])
-                continue
-            elif tag in (T_ADD, T_MUL, T_EXP):
-                frames.append([{T_ADD: "add", T_MUL: "mul", T_EXP: "exp"}[tag], None, 2, []])
-                continue
-            elif tag == F_EQ:
-                frames.append(["eq", None, 2, []])
-                continue
-            elif tag == F_LE:
-                frames.append(["le", None, 2, []])
-                continue
-            elif tag == F_ATOM:
-                ln = r.varint()
-                name = r.take(ln).decode("utf-8", errors="strict")
-                nparams = r.varint()
-                if nparams > 64:
-                    raise NotACode("too many params")
-                params = tuple(_read_param(r) for _ in range(nparams))
-                nargs = r.varint()
-                if nargs > 64:
-                    raise NotACode("too many args")
-                if nargs == 0:
-                    result = DAtom(name, params, ())
-                else:
-                    frames.append(["atom", (name, params), nargs, []])
-                    continue
-            elif tag == F_NOT:
-                frames.append(["not", None, 1, []])
-                continue
-            elif tag in (F_AND, F_OR, F_IMP):
-                frames.append([{F_AND: "and", F_OR: "or", F_IMP: "imp"}[tag], None, 2, []])
-                continue
-            elif tag in (F_ALL, F_EX):
-                v = r.varint()
-                frames.append(["all" if tag == F_ALL else "ex", v, 1, []])
-                continue
-            elif tag in (F_BALL, F_BEX):
-                v = r.varint()
-                frames.append(["ball" if tag == F_BALL else "bex", v, 2, []])
-                continue
-            else:
-                raise NotACode(f"bad tag {tag}")
-        # reduce
-        if not frames:
-            return result
-        fr = frames[-1]
-        fr[3].append(result)
-        result = None
-        if len(fr[3]) < fr[2]:
+        tag = r.byte()
+        layout = _NODE_LAYOUT.get(tag)
+        if layout is not None:
+            cls, indexed, want = layout
+            lead = (r.varint(),) if indexed else ()
+        elif tag == F_ATOM:
+            ln = r.varint()
+            name = r.take(ln).decode("utf-8", errors="strict")
+            nparams = r.varint()
+            if nparams > 64:
+                raise NotACode("too many params")
+            params = tuple(_read_param(r) for _ in range(nparams))
+            want = r.varint()
+            if want > 64:
+                raise NotACode("too many args")
+            cls, lead = DAtom, (name, params)
+        else:
+            raise NotACode(f"bad tag {tag}")
+        if want:
+            frames.append([cls, lead, want, []])
             continue
-        frames.pop()
-        kind, data, _, got = fr
-        try:
-            if kind == "succ":
-                result = Succ(got[0])
-            elif kind == "add":
-                result = Add(got[0], got[1])
-            elif kind == "mul":
-                result = Mul(got[0], got[1])
-            elif kind == "exp":
-                result = Exp(got[0], got[1])
-            elif kind == "eq":
-                result = EqAtom(got[0], got[1])
-            elif kind == "le":
-                result = LeAtom(got[0], got[1])
-            elif kind == "atom":
-                name, params = data
-                result = DAtom(name, params, tuple(got))
-            elif kind == "not":
-                result = Not(got[0])
-            elif kind == "and":
-                result = And(got[0], got[1])
-            elif kind == "or":
-                result = Or(got[0], got[1])
-            elif kind == "imp":
-                result = Imp(got[0], got[1])
-            elif kind == "all":
-                result = All(data, got[0])
-            elif kind == "ex":
-                result = Ex(data, got[0])
-            elif kind == "ball":
-                result = BAll(data, got[0], got[1])
-            elif kind == "bex":
-                result = BEx(data, got[0], got[1])
-            else:  # pragma: no cover
-                raise AssertionError(kind)
-        except (TypeError, ValueError) as e:
-            raise NotACode(str(e))
+        got: list = []
+        # build the node, then every frame it completes
+        while True:
+            try:
+                if cls is DAtom:
+                    node = DAtom(*lead, tuple(got))
+                elif cls is Zero:
+                    node = ZERO
+                else:
+                    node = cls(*lead, *got)
+            except (TypeError, ValueError) as e:
+                raise NotACode(str(e))
+            if not frames:
+                return node
+            cls, lead, want, got = frames[-1]
+            got.append(node)
+            if len(got) < want:
+                break
+            frames.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ records).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import registry
 from .syntax import (
@@ -87,47 +88,50 @@ def class_leq(a: ComplexityClass, b: ComplexityClass) -> bool:
 
 
 def _mins(f: Formula) -> tuple[int, int]:
-    if isinstance(f, (EqAtom, LeAtom)):
-        return (0, 0)
-    if isinstance(f, DAtom):
-        kind, level = registry.declared_class(f.name, f.params)
-        if level == 0 or kind == "Delta":
-            return (0, 0)
-        if kind == "Sigma":
-            return (level, level + 1)
-        return (level + 1, level)
-    if isinstance(f, Not):
-        s, p = _mins(f.arg)
-        return (p, s)
-    if isinstance(f, And) or isinstance(f, Or):
-        s1, p1 = _mins(f.left)
-        s2, p2 = _mins(f.right)
-        return (max(s1, s2), max(p1, p2))
-    if isinstance(f, Imp):
-        s1, p1 = _mins(f.left)
-        s2, p2 = _mins(f.right)
-        return (max(p1, s2), max(s1, p2))
-    if isinstance(f, Ex):
-        s, p = _mins(f.body)
-        s2 = max(1, min(s, p + 1))
-        return (s2, s2 + 1)
-    if isinstance(f, All):
-        s, p = _mins(f.body)
-        p2 = max(1, min(p, s + 1))
-        return (p2 + 1, p2)
-    if isinstance(f, BEx):
-        s, p = _mins(f.body)
-        if s == 0 and p == 0:
-            return (0, 0)
-        s2 = max(1, min(s, p + 1))
-        return (s2, s2 + 1)
-    if isinstance(f, BAll):
-        s, p = _mins(f.body)
-        if s == 0 and p == 0:
-            return (0, 0)
-        p2 = max(1, min(p, s + 1))
-        return (p2 + 1, p2)
-    raise TypeError(f"not a formula: {f!r}")
+    """(least n with f in Sigma_n, least k with f in Pi_k); an iterative
+    post-order walk, so nesting depth is not bounded by the recursion limit."""
+    done: list[tuple[int, int]] = []  # results of finished subformulas
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if isinstance(g, (EqAtom, LeAtom)):
+            done.append((0, 0))
+            continue
+        if isinstance(g, DAtom):
+            kind, level = registry.declared_class(g.name, g.params)
+            if level == 0 or kind == "Delta":
+                done.append((0, 0))
+            elif kind == "Sigma":
+                done.append((level, level + 1))
+            else:
+                done.append((level + 1, level))
+            continue
+        if not isinstance(g, (Not, And, Or, Imp, All, Ex, BAll, BEx)):
+            raise TypeError(f"not a formula: {g!r}")
+        if not expanded:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(g._children()) if isinstance(c, Formula))
+            continue
+        if isinstance(g, (And, Or, Imp)):
+            s2, p2 = done.pop()
+            s1, p1 = done.pop()
+            if isinstance(g, Imp):
+                s1, p1 = p1, s1
+            done.append((max(s1, s2), max(p1, p2)))
+            continue
+        s, p = done.pop()
+        if isinstance(g, Not):
+            done.append((p, s))
+        elif isinstance(g, (BEx, BAll)) and s == 0 and p == 0:
+            done.append((0, 0))
+        elif isinstance(g, (Ex, BEx)):
+            s2 = max(1, min(s, p + 1))
+            done.append((s2, s2 + 1))
+        else:
+            p2 = max(1, min(p, s + 1))
+            done.append((p2 + 1, p2))
+    (result,) = done
+    return result
 
 
 def classify(f: Formula) -> ComplexityClass:
@@ -181,40 +185,27 @@ def _has_unbounded(f: Formula) -> bool:
     return False
 
 
+# the connective or quantifier a negation turns each kind into
+_DUAL = {And: Or, Or: And, All: Ex, Ex: All, BAll: BEx, BEx: BAll}
+
+
 def _nnf(f: Formula, neg: bool) -> Formula:
     if isinstance(f, (EqAtom, LeAtom, DAtom)):
         return Not(f) if neg else f
     if isinstance(f, Not):
         return _nnf(f.arg, not neg)
-    if isinstance(f, And):
-        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
-        return Or(l, r) if neg else And(l, r)
-    if isinstance(f, Or):
-        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
-        return And(l, r) if neg else Or(l, r)
     if isinstance(f, Imp):
         if neg:
             return And(_nnf(f.left, False), _nnf(f.right, True))
         return Or(_nnf(f.left, True), _nnf(f.right, False))
-    if isinstance(f, All):
-        return Ex(f.var, _nnf(f.body, True)) if neg else All(f.var, _nnf(f.body, False))
-    if isinstance(f, Ex):
-        return All(f.var, _nnf(f.body, True)) if neg else Ex(f.var, _nnf(f.body, False))
-    if isinstance(f, BAll):
-        return BEx(f.var, f.bound, _nnf(f.body, True)) if neg else BAll(f.var, f.bound, _nnf(f.body, False))
-    if isinstance(f, BEx):
-        return BAll(f.var, f.bound, _nnf(f.body, True)) if neg else BEx(f.var, f.bound, _nnf(f.body, False))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-class _FreshVars:
-    def __init__(self, start: int):
-        self.next = start
-
-    def take(self) -> int:
-        v = self.next
-        self.next += 1
-        return v
+    if type(f) not in _DUAL:
+        raise TypeError(f"not a formula: {f!r}")
+    cls = _DUAL[type(f)] if neg else type(f)
+    if isinstance(f, (And, Or)):
+        return cls(_nnf(f.left, neg), _nnf(f.right, neg))
+    if isinstance(f, (All, Ex)):
+        return cls(f.var, _nnf(f.body, neg))
+    return cls(f.var, f.bound, _nnf(f.body, neg))
 
 
 class _SlotAssigner:
@@ -225,7 +216,7 @@ class _SlotAssigner:
     current window, which is exactly the placement the classifier's recursion
     counts."""
 
-    def __init__(self, first: str, length: int, fresh: _FreshVars):
+    def __init__(self, first: str, length: int, fresh: Iterator[int]):
         self.first = first
         self.length = length
         self.fresh = fresh
@@ -247,12 +238,11 @@ class _SlotAssigner:
         ):
             return g
         if isinstance(g, (And, Or)):
-            cls = And if isinstance(g, And) else Or
-            return cls(self.assign(g.left, window), self.assign(g.right, window))
+            return type(g)(self.assign(g.left, window), self.assign(g.right, window))
         if isinstance(g, (All, Ex)):
             kind = "A" if isinstance(g, All) else "E"
             pos = self.place(kind, window)
-            nv = self.fresh.take()
+            nv = next(self.fresh)
             self.slots[pos].append(nv)
             body = substitute(g.body, g.var, Var(nv)) if g.var != nv else g.body
             return self.assign(body, pos)
@@ -272,7 +262,7 @@ def prenex(f: Formula) -> Formula:
     _, rest = _peel(f)
     if not _has_unbounded(rest):
         return f  # already prenex
-    fresh = _FreshVars(max_var(f) + 1)
+    fresh = itertools.count(max_var(f) + 1)
     nnf = _nnf(f, False)
     s, p = _mins(nnf)
     if s <= p:

@@ -43,6 +43,8 @@ from .syntax import (
     code_literal,
     free_vars,
     numeral,
+    parse_formula,
+    print_formula,
     substitute,
     term_value as term_value_env,
     term_vars,
@@ -450,15 +452,11 @@ def proof_to_text(p: Proof) -> str:
             jt = f"mp {j[1]} {j[2]}"
         else:
             jt = f"gen {j[1]}"
-        from .syntax import print_formula
-
         lines.append(f"step {i}: {print_formula(st.formula)} ; {jt}")
     return "\n".join(lines)
 
 
 def proof_from_text(text: str) -> Proof:
-    from .syntax import parse_formula
-
     steps = []
     for lineno, raw in enumerate(text.splitlines()):
         line = raw.strip()
@@ -931,16 +929,10 @@ def _matches_numeral_subst(inst: Formula, base: Formula, fv: list[int], vals: li
         if isinstance(b, Var) and b.index in mapping and b.index not in bound:
             h = _numeral_height(i) if isinstance(i, Term) else None
             return h is not None and h == mapping[b.index]
-        if type(b) is not type(i):
+        # leaf keys: a variable's index, an atom's name and params, a binder's var
+        if type(b) is not type(i) or b._leaf_key() != i._leaf_key():
             return False
-        if isinstance(b, Var):
-            return b.index == i.index
-        if isinstance(b, DAtom):
-            if b.name != i.name or b.params != i.params or len(b.args) != len(i.args):
-                return False
         if isinstance(b, (All, Ex, BAll, BEx)):
-            if b.var != i.var:
-                return False
             bound = bound | {b.var}
         bc, ic = b._children(), i._children()
         if len(bc) != len(ic):

@@ -20,7 +20,7 @@ the documented theta-1 / theta-4 positions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import coding, refs
@@ -235,21 +235,14 @@ def index_sequence(m: int, T: TheoryPresentation) -> SequenceSpec:
 def shift(spec: SequenceSpec) -> SequenceSpec:
     """The left shift: tau*(x, y) := tau(x+1, y), by substitution."""
     a, _ = spec.tau_vars()
-    tau2 = substitute(spec.tau, a, Succ(Var(a)))
     mu2 = None
     if spec.mu_exists is not None:
         mu2 = substitute(spec.mu_exists, N, Succ(Var(N)))
-    return SequenceSpec(
+    return replace(
+        spec,
         construction=spec.construction + "*",
-        encoding=spec.encoding,
-        tau=tau2,
-        declared_class=spec.declared_class,
-        base=spec.base,
-        level=spec.level,
-        fixed_point_result=spec.fixed_point_result,
+        tau=substitute(spec.tau, a, Succ(Var(a))),
         mu_exists=mu2,
-        culprit=spec.culprit,
-        ppi_documented=spec.ppi_documented,
     )
 
 
@@ -360,107 +353,39 @@ def ds_components(variant: str, m: int, shift_by: int = 0) -> dict:
         raise SequenceError(f"unknown DS variant {variant!r}")
     sig = Var(SIGMA_V)
     xt = _x_term(shift_by)
+    y = Var(Y_V)
+    start = numeral(shift_by)
+    slice_uniform = variant == "slice-uniform"
+    lvl = ("Sigma", m - 1) if slice_uniform else ("Sigma", m)
 
-    if variant == "slice-uniform":
-        lvl = ("Sigma", m - 1)
-        t_at = lambda a, b: DAtom("TrueClAt", lvl, (sig, a, b))  # noqa: E731
-        start = numeral(shift_by)
+    def t_at(a, b) -> Formula:
+        return DAtom("TrueClAt", lvl, (sig, a, b))
+
+    def every_stage(body: Formula) -> Formula:
+        """At every stage x: some axiom y of the slice has body (slice
+        encoding), or the index y has body (index encoding)."""
+        if slice_uniform:
+            return All(X_V, Ex(Y_V, And(t_at(xt, y), body)))
+        return All(X_V, All(Y_V, Imp(t_at(xt, y), body)))
+
+    def provable(goal_params: tuple, *args) -> Formula:
+        """E p. PrfGoal[goal_params](p, args...)."""
+        return Ex(P_V, DAtom("PrfGoal", goal_params, (Var(P_V),) + args))
+
+    if slice_uniform:
         theta1 = All(X_V, Imp(t_at(start, Var(X_V)), ncon_sent_of(m, Var(X_V), 5)))
         theta2 = All(X_V, t_at(xt, code_literal(coding.encode(marker_sentence("BSigma1")))))
-        theta3 = All(
-            X_V,
-            Ex(
-                Y_V,
-                And(
-                    t_at(xt, Var(Y_V)),
-                    Ex(P_V, DAtom("PrfGoal", ("inhab", "sent"), (Var(P_V), Var(Y_V), sig, xt))),
-                ),
-            ),
-        )
-        theta4 = All(
-            X_V,
-            Ex(
-                Y_V,
-                And(
-                    t_at(xt, Var(Y_V)),
-                    Ex(
-                        P_V,
-                        DAtom(
-                            "PrfGoal",
-                            ("refl", "sent", m, "Sigma", m - 1),
-                            (Var(P_V), Var(Y_V), sig, xt),
-                        ),
-                    ),
-                ),
-            ),
-        )
+        theta3 = every_stage(provable(("inhab", "sent"), y, sig, xt))
+        theta4 = every_stage(provable(("refl", "sent", m, "Sigma", m - 1), y, sig, xt))
     else:
-        lvl = ("Sigma", m)
-        t_at = lambda a, b: DAtom("TrueClAt", lvl, (sig, a, b))  # noqa: E731
-        start = numeral(shift_by)
         theta1 = Ex(X_V, And(t_at(start, Var(X_V)), ncon_machine_of(m, Var(X_V), 5)))
-        theta2 = All(
-            X_V,
-            All(
-                Y_V,
-                Imp(
-                    t_at(xt, Var(Y_V)),
-                    Ex(P_V, DAtom("PrfGoal", ("marker", "idx", "BSigma1"), (Var(P_V), Var(Y_V)))),
-                ),
-            ),
-        )
-        theta3 = All(
-            X_V,
-            All(
-                Y_V,
-                Imp(
-                    t_at(xt, Var(Y_V)),
-                    Ex(P_V, DAtom("PrfGoal", ("inhab", "idx"), (Var(P_V), Var(Y_V), sig, xt))),
-                ),
-            ),
-        )
+        theta2 = every_stage(provable(("marker", "idx", "BSigma1"), y))
+        theta3 = every_stage(provable(("inhab", "idx"), y, sig, xt))
         if variant == "index-uniform":
-            theta4 = All(
-                X_V,
-                All(
-                    Y_V,
-                    Imp(
-                        t_at(xt, Var(Y_V)),
-                        Ex(
-                            P_V,
-                            DAtom(
-                                "PrfGoal",
-                                ("refl", "idx", m, "Sigma", m),
-                                (Var(P_V), Var(Y_V), sig, xt),
-                            ),
-                        ),
-                    ),
-                ),
-            )
+            theta4 = every_stage(provable(("refl", "idx", m, "Sigma", m), y, sig, xt))
         else:
-            theta4 = All(
-                X_V,
-                All(
-                    Y_V,
-                    Imp(
-                        t_at(xt, Var(Y_V)),
-                        All(
-                            Z_V,
-                            Imp(
-                                t_at(Succ(xt), Var(Z_V)),
-                                Ex(
-                                    P_V,
-                                    DAtom(
-                                        "PrfGoal",
-                                        ("connum", "idx", m),
-                                        (Var(P_V), Var(Y_V), Var(Z_V)),
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            )
+            z = Var(Z_V)
+            theta4 = every_stage(All(Z_V, Imp(t_at(Succ(xt), z), provable(("connum", "idx", m), y, z))))
     return {"theta1": theta1, "theta2": theta2, "theta3": theta3, "theta4": theta4}
 
 

@@ -4,15 +4,21 @@ The term signature is fixed: 0, S, +, *, exp.  Formulas have =, <=,
 designated atoms, the propositional connectives, and both unbounded and
 bounded quantifiers (bounded quantifiers are primitive, not sugar).
 
+Every node kind follows one contract (see Node): it declares its dataclass
+fields, its subnodes in coding order and its leaf data, and the base class
+seals a structural hash and node count at construction and compares nodes
+through them.  Nodes are immutable.
+
 Deeply nested terms occur routinely (compact code literals reach hundreds of
-thousands of nodes), so every term-level traversal here is iterative.
-Structural hashes and node counts are precomputed at construction so that
-equality tests never recurse.
+thousands of nodes), so equality, printing, parsing, free_vars and every
+term-level traversal are iterative.  Formula-level substitute recurses once
+per connective or quantifier, so a formula nested past the interpreter's
+recursion limit raises RecursionError there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 
@@ -30,15 +36,31 @@ class EvalError(ValueError):
 
 # ---------------------------------------------------------------------------
 # AST nodes
+#
+# The node contract: a kind declares its dataclass fields, `_children()` (its
+# subnodes in coding order) and, if it carries data besides subnodes,
+# `_leaf_key()`.  Node.__post_init__ seals the structural hash and the node
+# count from those two, and Node.__eq__ compares through them, so no kind
+# spells out hashing, sizing or equality itself.  Fields come in the order
+# leaf data, then children, which is also the constructor order.
 
 
 class Node:
-    """Base for terms and formulas: hash/size cached, equality iterative."""
+    """Base for terms and formulas: hash/size sealed, equality iterative."""
 
     __slots__ = ()
 
     _hash: int
     size: int
+
+    def __post_init__(self):
+        key = [type(self), self._leaf_key()]
+        size = 1
+        for c in self._children():
+            key.append(c._hash)
+            size += c.size
+        object.__setattr__(self, "_hash", hash(tuple(key)))
+        object.__setattr__(self, "size", size)
 
     def __hash__(self):
         return self._hash
@@ -55,33 +77,18 @@ class Node:
             a, b = stack.pop()
             if a is b:
                 continue
-            if type(a) is not type(b) or a._hash != b._hash:
+            # formula-valued atom params compare structurally, by their own
+            # __eq__, inside the leaf-key comparison
+            if type(a) is not type(b) or a._hash != b._hash or a._leaf_key() != b._leaf_key():
                 return False
-            if a._leaf_key() != b._leaf_key():
-                return False
-            ca, cb = a._children(), b._children()
-            if len(ca) != len(cb):
-                return False
-            stack.extend(zip(ca, cb))
+            stack.extend(zip(a._children(), b._children()))
         return True
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def _children(self) -> tuple:
         return ()
 
     def _leaf_key(self) -> tuple:
         return ()
-
-    def _seal(self, tag: str, leaf_key: tuple, children: tuple) -> None:
-        h = hash((tag, leaf_key, tuple(c._hash for c in children)))
-        n = 1 + sum(c.size for c in children)
-        object.__setattr__(self, "_hash", h)
-        object.__setattr__(self, "size", n)
 
 
 class Term(Node):
@@ -95,327 +102,189 @@ class Formula(Node):
 @dataclass(frozen=True, eq=False)
 class Var(Term):
     index: int
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("variable index must be a natural number")
-        self._seal("var", (self.index,), ())
+        Node.__post_init__(self)
 
     def _leaf_key(self):
-        return ("var", self.index)
+        return (self.index,)
 
 
 @dataclass(frozen=True, eq=False)
 class Zero(Term):
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("zero", (), ())
-
-    def _leaf_key(self):
-        return ("zero",)
+    pass
 
 
 @dataclass(frozen=True, eq=False)
 class Succ(Term):
     arg: Term
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("succ", (), (self.arg,))
 
     def _children(self):
         return (self.arg,)
-
-    def _leaf_key(self):
-        return ("succ",)
 
 
 @dataclass(frozen=True, eq=False)
 class Add(Term):
     left: Term
     right: Term
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("add", (), (self.left, self.right))
 
     def _children(self):
         return (self.left, self.right)
-
-    def _leaf_key(self):
-        return ("add",)
 
 
 @dataclass(frozen=True, eq=False)
 class Mul(Term):
     left: Term
     right: Term
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("mul", (), (self.left, self.right))
 
     def _children(self):
         return (self.left, self.right)
-
-    def _leaf_key(self):
-        return ("mul",)
 
 
 @dataclass(frozen=True, eq=False)
 class Exp(Term):
     base: Term
     power: Term
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("exp", (), (self.base, self.power))
 
     def _children(self):
         return (self.base, self.power)
-
-    def _leaf_key(self):
-        return ("exp",)
-
-
-# Atom parameters: naturals, identifiers, theory references (defined in
-# coding/theories layers as frozen dataclasses satisfying Param protocol),
-# or whole formulas.  They are compared structurally.
-
-Param = Union[int, str, "Node", tuple, object]
 
 
 @dataclass(frozen=True, eq=False)
 class EqAtom(Formula):
     left: Term
     right: Term
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("eq", (), (self.left, self.right))
 
     def _children(self):
         return (self.left, self.right)
-
-    def _leaf_key(self):
-        return ("eq",)
 
 
 @dataclass(frozen=True, eq=False)
 class LeAtom(Formula):
     left: Term
     right: Term
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("le", (), (self.left, self.right))
 
     def _children(self):
         return (self.left, self.right)
 
-    def _leaf_key(self):
-        return ("le",)
-
 
 @dataclass(frozen=True, eq=False)
 class DAtom(Formula):
-    """Designated atom: a registered predicate with parameters and term args."""
+    """Designated atom: a registered predicate with parameters and term args.
+
+    Parameters are naturals, identifiers, theory references (see refs) or
+    whole formulas and terms; they are hashed and compared structurally."""
 
     name: str
     params: tuple
     args: tuple
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "args", tuple(self.args))
-        # Formula-valued params contribute their own structural hash.
-        pkey = tuple(
-            ("node", p._hash, p.size) if isinstance(p, Node) else p for p in self.params
-        )
-        self._seal("datom", (self.name, pkey), self.args)
+        Node.__post_init__(self)
 
     def _children(self):
         return self.args
 
     def _leaf_key(self):
-        pkey = []
-        for p in self.params:
-            if isinstance(p, Node):
-                # cheap key; full structural comparison done via __eq__ below
-                pkey.append(("node", p._hash, p.size))
-            else:
-                pkey.append(p)
-        return ("datom", self.name, tuple(pkey))
-
-    def __eq__(self, other):
-        if not Node.__eq__(self, other):
-            return False
-        if isinstance(other, DAtom):
-            for p, q in zip(self.params, other.params):
-                if isinstance(p, Node) or isinstance(q, Node):
-                    if not (isinstance(p, Node) and isinstance(q, Node) and Node.__eq__(p, q)):
-                        return False
-        return True
-
-    def __hash__(self):
-        return self._hash
+        return (self.name, self.params)
 
 
 @dataclass(frozen=True, eq=False)
 class Not(Formula):
     arg: Formula
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("not", (), (self.arg,))
 
     def _children(self):
         return (self.arg,)
-
-    def _leaf_key(self):
-        return ("not",)
 
 
 @dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("and", (), (self.left, self.right))
 
     def _children(self):
         return (self.left, self.right)
-
-    def _leaf_key(self):
-        return ("and",)
 
 
 @dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("or", (), (self.left, self.right))
 
     def _children(self):
         return (self.left, self.right)
-
-    def _leaf_key(self):
-        return ("or",)
 
 
 @dataclass(frozen=True, eq=False)
 class Imp(Formula):
     left: Formula
     right: Formula
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("imp", (), (self.left, self.right))
 
     def _children(self):
         return (self.left, self.right)
 
+
+class _Binder(Formula):
+    """A quantifier: its bound variable index is its leaf data."""
+
+    __slots__ = ()
+
     def _leaf_key(self):
-        return ("imp",)
+        return (self.var,)
 
 
 @dataclass(frozen=True, eq=False)
-class All(Formula):
+class All(_Binder):
     var: int
     body: Formula
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("all", (self.var,), (self.body,))
 
     def _children(self):
         return (self.body,)
 
-    def _leaf_key(self):
-        return ("all", self.var)
-
 
 @dataclass(frozen=True, eq=False)
-class Ex(Formula):
+class Ex(_Binder):
     var: int
     body: Formula
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._seal("ex", (self.var,), (self.body,))
 
     def _children(self):
         return (self.body,)
 
-    def _leaf_key(self):
-        return ("ex", self.var)
+
+class _Bounded(_Binder):
+    """A bounded quantifier: the bound term must not contain the variable."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        if self.var in term_vars(self.bound):
+            raise ValueError("bound term contains the bound variable")
+        Node.__post_init__(self)
+
+    def _children(self):
+        return (self.bound, self.body)
 
 
 @dataclass(frozen=True, eq=False)
-class BAll(Formula):
+class BAll(_Bounded):
     """Bounded universal: A xk<=t. f   (t must not contain xk)."""
 
     var: int
     bound: Term
     body: Formula
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.var in term_vars(self.bound):
-            raise ValueError("bound term contains the bound variable")
-        self._seal("ball", (self.var,), (self.bound, self.body))
-
-    def _children(self):
-        return (self.bound, self.body)
-
-    def _leaf_key(self):
-        return ("ball", self.var)
 
 
 @dataclass(frozen=True, eq=False)
-class BEx(Formula):
+class BEx(_Bounded):
     """Bounded existential: E xk<=t. f   (t must not contain xk)."""
 
     var: int
     bound: Term
     body: Formula
-    _hash: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.var in term_vars(self.bound):
-            raise ValueError("bound term contains the bound variable")
-        self._seal("bex", (self.var,), (self.bound, self.body))
-
-    def _children(self):
-        return (self.bound, self.body)
-
-    def _leaf_key(self):
-        return ("bex", self.var)
 
 
 ZERO = Zero()
@@ -580,16 +449,9 @@ def _subst_term(t: Term, v: int, repl: Term) -> Term:
             continue
         if isinstance(x, Var):
             done[id(x)] = repl if x.index == v else x
-        elif isinstance(x, Zero):
-            done[id(x)] = x
-        elif isinstance(x, Succ):
-            done[id(x)] = Succ(done[id(x.arg)])
-        elif isinstance(x, Add):
-            done[id(x)] = Add(done[id(x.left)], done[id(x.right)])
-        elif isinstance(x, Mul):
-            done[id(x)] = Mul(done[id(x.left)], done[id(x.right)])
-        elif isinstance(x, Exp):
-            done[id(x)] = Exp(done[id(x.base)], done[id(x.power)])
+        else:
+            kids = x._children()
+            done[id(x)] = type(x)(*[done[id(c)] for c in kids]) if kids else x
     return done[id(t)]
 
 
@@ -601,11 +463,9 @@ def max_var(f: Union[Formula, Term]) -> int:
         x = stack.pop()
         if isinstance(x, Var):
             best = max(best, x.index)
-        elif isinstance(x, (All, Ex, BAll, BEx)):
+        elif isinstance(x, _Binder):
             best = max(best, x.var)
-            stack.extend(x._children())
-        else:
-            stack.extend(x._children())
+        stack.extend(x._children())
     return best
 
 
@@ -617,56 +477,28 @@ def substitute(f: Formula, v: int, t: Term) -> Formula:
     """
     t_vars = term_vars(t)
 
-    def fresh(avoid: frozenset[int]) -> int:
-        i = max(avoid, default=-1) + 1
-        return i
-
     def go(g: Formula, v: int, t: Term, t_vars: frozenset[int]) -> Formula:
-        if isinstance(g, EqAtom):
-            return EqAtom(_subst_term(g.left, v, t), _subst_term(g.right, v, t))
-        if isinstance(g, LeAtom):
-            return LeAtom(_subst_term(g.left, v, t), _subst_term(g.right, v, t))
+        if isinstance(g, (EqAtom, LeAtom)):
+            return type(g)(_subst_term(g.left, v, t), _subst_term(g.right, v, t))
         if isinstance(g, DAtom):
             return DAtom(g.name, g.params, tuple(_subst_term(a, v, t) for a in g.args))
         if isinstance(g, Not):
             return Not(go(g.arg, v, t, t_vars))
-        if isinstance(g, And):
-            return And(go(g.left, v, t, t_vars), go(g.right, v, t, t_vars))
-        if isinstance(g, Or):
-            return Or(go(g.left, v, t, t_vars), go(g.right, v, t, t_vars))
-        if isinstance(g, Imp):
-            return Imp(go(g.left, v, t, t_vars), go(g.right, v, t, t_vars))
-        if isinstance(g, (All, Ex, BAll, BEx)):
-            bounded = isinstance(g, (BAll, BEx))
-            new_bound = _subst_term(g.bound, v, t) if bounded else None
-            if g.var == v:
-                # v is shadowed inside; only the bound term (if any) changes.
-                if bounded:
-                    cls = BAll if isinstance(g, BAll) else BEx
-                    return cls(g.var, new_bound, g.body)
-                return g
-            if v not in free_vars(g.body):
-                if bounded:
-                    cls = BAll if isinstance(g, BAll) else BEx
-                    return cls(g.var, new_bound, g.body)
-                return g
-            if g.var in t_vars:
-                # rename the binder to avoid capture
-                avoid = t_vars | free_vars(g.body) | {v, g.var}
-                nv = fresh(frozenset(avoid))
-                body = go(g.body, g.var, Var(nv), frozenset({nv}))
+        if isinstance(g, (And, Or, Imp)):
+            return type(g)(go(g.left, v, t, t_vars), go(g.right, v, t, t_vars))
+        if isinstance(g, _Binder):
+            # a bounded quantifier's bound term is outside the binder's scope
+            bound = (_subst_term(g.bound, v, t),) if isinstance(g, _Bounded) else ()
+            var, body = g.var, g.body
+            if var != v and v in free_vars(body):
+                if var in t_vars:
+                    # rename the binder to avoid capture
+                    var = max(t_vars | free_vars(body) | {v, var}) + 1
+                    body = go(body, g.var, Var(var), frozenset({var}))
                 body = go(body, v, t, t_vars)
-                if bounded:
-                    cls = BAll if isinstance(g, BAll) else BEx
-                    return cls(nv, new_bound, body)
-                cls2 = All if isinstance(g, All) else Ex
-                return cls2(nv, body)
-            body = go(g.body, v, t, t_vars)
-            if bounded:
-                cls = BAll if isinstance(g, BAll) else BEx
-                return cls(g.var, new_bound, body)
-            cls2 = All if isinstance(g, All) else Ex
-            return cls2(g.var, body)
+            elif not bound:
+                return g  # v is shadowed or absent: nothing changes
+            return type(g)(var, *bound, body)
         raise TypeError(f"not a formula: {g!r}")
 
     return go(f, v, t, t_vars)

@@ -138,3 +138,15 @@ def test_spec_without_a_key_is_a_domain_error(tmp_path):
     spec_file.write_text(json.dumps(d))
     code, text = _run(["seq", "slice", str(spec_file), "--n", "0", "--bound", "3", "--budget", "10"])
     assert code == 1 and text == "error: spec lacks the key 'declared_class'\n"
+
+
+DEEP = "~" * 3000  # nested past the interpreter's default recursion limit
+
+
+def test_classify_of_a_deeply_nested_formula():
+    assert _run(["classify", DEEP + "0=0"]) == (0, "Delta 0\n")
+
+
+def test_deeply_nested_formula_is_a_domain_error():
+    for argv in (["eval", "--budget", "4", DEEP + "0=0"], ["fixpoint", DEEP + "x2=0", "--hole", "2"]):
+        assert _run(argv) == (1, "error: formula nested too deeply\n")

@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conseq.coding import decode, encode
 from conseq.gen import random_formula, random_term
 from conseq.syntax import (
     Add,
     All,
     And,
     BEx,
+    DAtom,
     EqAtom,
     Ex,
     LeAtom,
@@ -243,3 +247,29 @@ def Or_(a, b):
     from conseq.syntax import Or
 
     return Or(a, b)
+
+
+def test_atoms_with_colliding_formula_params_compare_unequal():
+    p1, p2 = parse_formula("0=0"), parse_formula("x0=0")
+    object.__setattr__(p2, "_hash", p1._hash)  # force a hash collision
+    a1, a2 = DAtom("F", (p1,), ()), DAtom("F", (p2,), ())
+    assert hash(a1) == hash(a2) and a1 != a2
+    # nested, the atoms are reached by the iterative walk, not compared first
+    assert hash(Not(a1)) == hash(Not(a2)) and Not(a1) != Not(a2)
+    assert And(a1, p1) != And(a2, p1)
+    assert And(p1, Not(a1)) != And(p1, Not(a2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=3))
+def test_equality_agrees_with_codes(seed, depth):
+    rng = random.Random(seed)
+    # small depth and variable pool, so that equal pairs occur too
+    f = random_formula(rng, depth, [0, 1], datoms=True)
+    g = random_formula(rng, depth, [0, 1], datoms=True)
+    assert (f == g) == (encode(f) == encode(g))
+    if f == g:
+        assert hash(f) == hash(g)
+    back = decode(encode(f))
+    assert back == f and hash(back) == hash(f)
+    assert parse_formula(print_formula(f)) == f
