@@ -14,8 +14,8 @@ import sys
 from . import coding, craig, registry, sequences, theories
 from .diagonal import fixed_point, verify_fixed_point
 from .hierarchy import classify
-from .semantics import eval_sentence
-from .syntax import DAtom, Formula, SyntaxError_, free_vars, parse_formula, print_formula
+from .semantics import check_proof, eval_sentence
+from .syntax import DAtom, Formula, Imp, Succ, SyntaxError_, free_vars, parse_formula, print_formula, print_term
 
 NUMERAL_NODE_CAP = 100_000
 
@@ -25,8 +25,6 @@ class DomainError(Exception):
 
 
 def _max_numeral_nodes(f) -> int:
-    from .syntax import Succ
-
     best = 0
     stack = [f]
     while stack:
@@ -103,8 +101,6 @@ def cmd_decode(args, out) -> int:
         obj = coding.decode(n)
     except coding.NotACode as e:
         raise DomainError(f"not a code: {e}")
-    from .syntax import print_term
-
     out.write((print_formula(obj) if isinstance(obj, Formula) else print_term(obj)) + "\n")
     return 0
 
@@ -129,9 +125,6 @@ def cmd_craig(args, out) -> int:
     out.write(f"name {rec['name']}\n")
     out.write(f"axiom_formula {rec['axiom_formula']}\n")
     out.write(f"machine_code {rec['machine_code']}\n")
-    from .semantics import check_proof
-    from .syntax import Imp
-
     for i in range(args.count):
         phi = base.enumerator(i)
         pad = craig.pad_conjunction(phi, i + 1)

@@ -13,6 +13,7 @@ non-codes, and membership of real formulas is tested at their actual codes.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import Union
 
 from . import refs
@@ -114,6 +115,11 @@ def _varint(n: int) -> bytes:
             return bytes(out)
 
 
+def _str_bytes(s: str) -> bytes:
+    raw = s.encode("utf-8")
+    return _varint(len(raw)) + raw
+
+
 def _nat_bytes(n: int) -> bytes:
     if n == 0:
         return _varint(0)
@@ -159,12 +165,16 @@ class _Reader:
             raise NotACode("non-minimal nat")
         return int.from_bytes(raw, "big")
 
-    def take(self, ln: int) -> bytes:
+    def string(self) -> str:
+        ln = self.varint()
         if self.i + ln > len(self.data):
             raise NotACode("truncated bytes")
         raw = self.data[self.i : self.i + ln]
         self.i += ln
-        return raw
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise NotACode("string is not UTF-8") from None
 
     def done(self) -> bool:
         return self.i == len(self.data)
@@ -174,35 +184,33 @@ class _Reader:
 # Serialization (iterative over the tree)
 
 
+# reference kind <-> tag; the fields follow the tag in declared order
+_REF_TAGS = {
+    refs.Named: R_NAMED,
+    refs.Ext: R_EXT,
+    refs.SlipExt: R_SLIPEXT,
+    refs.MOmega: R_MOMEGA,
+    refs.Mach: R_MACH,
+    refs.CraigRef: R_CRAIG,
+}
+_REF_KINDS = {tag: cls for cls, tag in _REF_TAGS.items()}
+
+
 def _ser_ref(r, out: bytearray) -> None:
     if isinstance(r, str):
         r = refs.Named(r)
-    if isinstance(r, refs.Named):
-        raw = r.name.encode("utf-8")
-        out.append(R_NAMED)
-        out += _varint(len(raw))
-        out += raw
-    elif isinstance(r, refs.Ext):
-        out.append(R_EXT)
-        _ser_ref(r.base, out)
-        out += _nat_bytes(r.code)
-    elif isinstance(r, refs.SlipExt):
-        out.append(R_SLIPEXT)
-        _ser_ref(r.base, out)
-        out += _nat_bytes(r.z)
-        out += _nat_bytes(r.n)
-    elif isinstance(r, refs.MOmega):
-        out.append(R_MOMEGA)
-        out += _nat_bytes(r.m)
-        _ser_ref(r.base, out)
-    elif isinstance(r, refs.Mach):
-        out.append(R_MACH)
-        out += _nat_bytes(r.code)
-    elif isinstance(r, refs.CraigRef):
-        out.append(R_CRAIG)
-        _ser_ref(r.base, out)
-    else:
+    tag = _REF_TAGS.get(type(r))
+    if tag is None:
         raise TypeError(f"not a theory reference: {r!r}")
+    out.append(tag)
+    for name, typ in refs.FIELDS[type(r)]:
+        x = getattr(r, name)
+        if typ is int:
+            out += _nat_bytes(x)
+        elif typ is str:
+            out += _str_bytes(x)
+        else:
+            _ser_ref(x, out)
 
 
 def _ser_param(p, out: bytearray) -> None:
@@ -212,10 +220,8 @@ def _ser_param(p, out: bytearray) -> None:
         out.append(P_NAT)
         out += _nat_bytes(p)
     elif isinstance(p, str):
-        raw = p.encode("utf-8")
         out.append(P_STR)
-        out += _varint(len(raw))
-        out += raw
+        out += _str_bytes(p)
     elif isinstance(p, Formula):
         out.append(P_FORMULA)
         _ser_node(p, out)
@@ -264,9 +270,7 @@ def _ser_node(node, out: bytearray) -> None:
             stack.append(x.left)
         elif isinstance(x, DAtom):
             out.append(F_ATOM)
-            raw = x.name.encode("utf-8")
-            out += _varint(len(raw))
-            out += raw
+            out += _str_bytes(x.name)
             out += _varint(len(x.params))
             for p in x.params:
                 _ser_param(p, out)
@@ -344,26 +348,12 @@ _NODE_LAYOUT = {
 
 def _read_ref(r: _Reader):
     kind = r.byte()
-    if kind == R_NAMED:
-        ln = r.varint()
-        name = r.take(ln).decode("utf-8", errors="strict")
-        return refs.Named(name)
-    if kind == R_EXT:
-        base = _read_ref(r)
-        return refs.Ext(base, r.nat())
-    if kind == R_SLIPEXT:
-        base = _read_ref(r)
-        z = r.nat()
-        n = r.nat()
-        return refs.SlipExt(base, z, n)
-    if kind == R_MOMEGA:
-        m = r.nat()
-        return refs.MOmega(m, _read_ref(r))
-    if kind == R_MACH:
-        return refs.Mach(r.nat())
-    if kind == R_CRAIG:
-        return refs.CraigRef(_read_ref(r))
-    raise NotACode(f"bad ref kind {kind}")
+    cls = _REF_KINDS.get(kind)
+    if cls is None:
+        raise NotACode(f"bad ref kind {kind}")
+    return cls(
+        *[r.nat() if typ is int else r.string() if typ is str else _read_ref(r) for _, typ in refs.FIELDS[cls]]
+    )
 
 
 def _read_param(r: _Reader):
@@ -371,8 +361,7 @@ def _read_param(r: _Reader):
     if kind == P_NAT:
         return r.nat()
     if kind == P_STR:
-        ln = r.varint()
-        return r.take(ln).decode("utf-8", errors="strict")
+        return r.string()
     if kind == P_REF:
         ref = _read_ref(r)
         # Bare named references normalize to plain strings (parse-stable form).
@@ -394,8 +383,7 @@ def _read_node(r: _Reader):
             cls, indexed, want = layout
             lead = (r.varint(),) if indexed else ()
         elif tag == F_ATOM:
-            ln = r.varint()
-            name = r.take(ln).decode("utf-8", errors="strict")
+            name = r.string()
             nparams = r.varint()
             if nparams > 64:
                 raise NotACode("too many params")
@@ -486,6 +474,88 @@ def decode_ref(n: int):
     if not r.done():
         raise NotACode("trailing bytes")
     return ref
+
+
+# ---------------------------------------------------------------------------
+# Hilbert proofs
+
+
+@dataclass(frozen=True)
+class Step:
+    formula: Formula
+    # a justification: ("axiom",) | ("logical", scheme) | ("mp", i, j) | ("gen", i)
+    just: tuple
+
+
+@dataclass(frozen=True)
+class Proof:
+    steps: tuple
+
+    @property
+    def conclusion(self) -> Formula:
+        return self.steps[-1].formula
+
+
+SCHEMES = (
+    "K",
+    "S",
+    "CONTRA",
+    "AND-E1",
+    "AND-E2",
+    "AND-I",
+    "OR-I1",
+    "OR-I2",
+    "OR-E",
+    "ALL-E",
+    "ALL-DIST",
+    "EQ-REFL",
+)
+
+# justification kind -> (tag, number of arguments).  Each argument is coded as
+# a varint: a step index, or for "logical" the scheme's index in SCHEMES.
+JUSTIFICATIONS = {"axiom": (J_AXIOM, 0), "logical": (J_LOGICAL, 1), "mp": (J_MP, 2), "gen": (J_GEN, 1)}
+_JUST_KINDS = {tag: (kind, arity) for kind, (tag, arity) in JUSTIFICATIONS.items()}
+
+
+def encode_proof(p: Proof) -> int:
+    out = bytearray([PR_PROOF])
+    out += _varint(len(p.steps))
+    for st in p.steps:
+        _ser_node(st.formula, out)
+        kind, *args = st.just
+        tag, arity = JUSTIFICATIONS.get(kind, (None, None))
+        if len(args) != arity:
+            raise ValueError(f"bad justification {st.just!r}")
+        out.append(tag)
+        for a in args:
+            out += _varint(SCHEMES.index(a) if kind == "logical" else a)
+    return int.from_bytes(bytes([SENTINEL]) + bytes(out), "big")
+
+
+def decode_proof(n: int) -> Proof:
+    r = _body(n)
+    if r.byte() != PR_PROOF:
+        raise NotACode("not a proof code")
+    count = r.varint()
+    if count > 100_000:
+        raise NotACode("proof too long")
+    steps = []
+    for _ in range(count):
+        f = _read_node(r)
+        if not isinstance(f, Formula):
+            raise NotACode("proof step is not a formula")
+        kind, arity = _JUST_KINDS.get(r.byte(), (None, 0))
+        if kind is None:
+            raise NotACode("bad justification tag")
+        args = [r.varint() for _ in range(arity)]
+        if kind == "logical":
+            if args[0] >= len(SCHEMES):
+                raise NotACode("bad scheme index")
+            args = [SCHEMES[args[0]]]
+        steps.append(Step(f, (kind, *args)))
+    if not r.done():
+        raise NotACode("trailing bytes")
+    return Proof(tuple(steps))
 
 
 # ---------------------------------------------------------------------------

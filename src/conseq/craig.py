@@ -11,6 +11,7 @@ conjunction introduction/elimination.
 from __future__ import annotations
 
 from . import coding, refs
+from .coding import Proof, Step
 from .syntax import And, DAtom, Formula, Imp, Var, free_vars
 from .theories import TheoryPresentation
 
@@ -89,8 +90,6 @@ def craig_member(base: TheoryPresentation, f: Formula) -> bool:
 
 def _self_implication_steps(a: Formula) -> list:
     """The classic 5-step derivation of a -> a from K and S."""
-    from .semantics import Step
-
     aa = Imp(a, a)
     k1 = Imp(a, Imp(aa, a))
     s1 = Imp(k1, Imp(Imp(a, aa), aa))
@@ -106,8 +105,6 @@ def _self_implication_steps(a: Formula) -> list:
 
 def padded_to_source_proof(phi: Formula, s: int):
     """Proof of pad_conjunction(phi, s) -> phi from logical axioms."""
-    from .semantics import Proof, Step
-
     if s == 1:
         return Proof(tuple(_self_implication_steps(phi)))
     pad = pad_conjunction(phi, s)
@@ -117,8 +114,6 @@ def padded_to_source_proof(phi: Formula, s: int):
 def source_to_padded_proof(phi: Formula, s: int):
     """Proof of phi -> pad_conjunction(phi, s), by iterated conjunction
     introduction composed through the S axiom."""
-    from .semantics import Proof, Step
-
     steps = _self_implication_steps(phi)
     have = Imp(phi, phi)  # phi -> pad_1
     cur = phi

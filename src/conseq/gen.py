@@ -30,7 +30,9 @@ from .syntax import (
     Term,
     Var,
     ZERO,
+    free_vars,
     numeral,
+    substitute,
 )
 
 # Variable conventions for schema templates:
@@ -78,14 +80,12 @@ def class_formula(kind: str, level: int, i: int) -> Formula:
 
 def induction_instance(phi: Formula) -> Formula:
     """(phi(0) /\\ A x.(phi(x) -> phi(S x))) -> A x. phi(x), closed over x2."""
-    from .syntax import substitute
-
     base = substitute(phi, IND_VAR, ZERO)
     step = All(IND_VAR, Imp(phi, substitute(phi, IND_VAR, Succ(Var(IND_VAR)))))
     body = Imp(And(base, step), All(IND_VAR, phi))
-    if PAR_VAR in _freevars(body):
+    if PAR_VAR in free_vars(body):
         body = All(PAR_VAR, body)
-    if WIT_VAR in _freevars(body):
+    if WIT_VAR in free_vars(body):
         body = All(WIT_VAR, body)
     return body
 
@@ -96,15 +96,9 @@ def collection_instance(phi: Formula) -> Formula:
     left = BAll(IND_VAR, Var(u), Ex(WIT_VAR, phi))
     right = Ex(v, BAll(IND_VAR, Var(u), BEx(WIT_VAR, Var(v), phi)))
     body = All(u, Imp(left, right))
-    if PAR_VAR in _freevars(body):
+    if PAR_VAR in free_vars(body):
         body = All(PAR_VAR, body)
     return body
-
-
-def _freevars(f: Formula):
-    from .syntax import free_vars
-
-    return free_vars(f)
 
 
 def delta0_stream() -> Iterator[Formula]:
@@ -242,8 +236,6 @@ def hole_formula(kind: str, level: int, i: int) -> Formula:
     carrier = class_formula(kind, level, i)
     # close the carrier's incidental free vars so only the hole and the
     # sample variable remain free
-    from .syntax import substitute
-
     carrier = substitute(carrier, IND_VAR, numeral(i % 3))
     carrier = substitute(carrier, WIT_VAR, numeral((i + 1) % 3))
     carrier = substitute(carrier, PAR_VAR, numeral(i % 5))

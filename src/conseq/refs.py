@@ -11,12 +11,16 @@ Kinds:
   momega(m, ref)        -- ISigma(m) plus the uniform iterated m-reflection axiom
   mach(c)               -- the axiom enumerator described by machine code c
   craig(ref)            -- the padded (elementary) presentation of ref's stream
+
+The field rule: each kind declares its dataclass fields once, in the order in
+which they are printed, parsed and coded, and each field is a str, an int (a
+natural) or a Ref.  Every kind but Named is written in call syntax
+head(field,...).  Ref.text, ref_from_parts and the coder (coding._ser_ref and
+coding._read_ref) all walk that one declaration, FIELDS.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 
 class RefError(ValueError):
@@ -24,7 +28,21 @@ class RefError(ValueError):
 
 
 @dataclass(frozen=True)
-class Named:
+class Ref:
+    """Base of every reference kind."""
+
+    head: ClassVar[str]
+
+    def text(self) -> str:
+        parts = []
+        for name, typ in FIELDS[type(self)]:
+            x = getattr(self, name)
+            parts.append(x.text() if typ is Ref else str(x))
+        return f"{self.head}({','.join(parts)})"
+
+
+@dataclass(frozen=True)
+class Named(Ref):
     name: str
 
     def text(self) -> str:
@@ -32,72 +50,59 @@ class Named:
 
 
 @dataclass(frozen=True)
-class Ext:
-    base: "TheoryRef"
+class Ext(Ref):
+    head = "ext"
+    base: Ref
     code: int
-
-    def text(self) -> str:
-        return f"ext({self.base.text()},{self.code})"
 
 
 @dataclass(frozen=True)
-class SlipExt:
+class SlipExt(Ref):
     """Base theory together with slice n of the binary formula coded z."""
 
-    base: "TheoryRef"
+    head = "slipext"
+    base: Ref
     z: int
     n: int
 
-    def text(self) -> str:
-        return f"slipext({self.base.text()},{self.z},{self.n})"
-
 
 @dataclass(frozen=True)
-class MOmega:
+class MOmega(Ref):
+    head = "momega"
     m: int
-    base: "TheoryRef"
-
-    def text(self) -> str:
-        return f"momega({self.m},{self.base.text()})"
+    base: Ref
 
 
 @dataclass(frozen=True)
-class Mach:
+class Mach(Ref):
+    head = "mach"
     code: int
 
-    def text(self) -> str:
-        return f"mach({self.code})"
-
 
 @dataclass(frozen=True)
-class CraigRef:
-    base: "TheoryRef"
-
-    def text(self) -> str:
-        return f"craig({self.base.text()})"
+class CraigRef(Ref):
+    head = "craig"
+    base: Ref
 
 
-TheoryRef = Union[Named, Ext, SlipExt, MOmega, Mach, CraigRef]
+# kind -> ((field name, field type), ...) in declared order.  The types are
+# the classes themselves because this module leaves annotations unpostponed.
+FIELDS = {cls: tuple((f.name, f.type) for f in fields(cls)) for cls in (Named, Ext, SlipExt, MOmega, Mach, CraigRef)}
+HEADS = {cls.head: cls for cls in FIELDS if cls is not Named}
 
 
-def ref_from_parts(head: str, items: list, pos: int = 0) -> TheoryRef:
+def ref_from_parts(head: str, items: list, pos: int = 0) -> Ref:
     """Build a reference from parsed call syntax head(items)."""
+    cls = HEADS.get(head)
+    types = [typ for _, typ in FIELDS[cls]] if cls is not None else []
+    if cls is None or len(items) != len(types) or any(t is int and not isinstance(x, int) for t, x in zip(types, items)):
+        raise RefError(f"unknown reference form {head}({items}) at {pos}")
+    return cls(*[x if t is int else _as_ref(x) for t, x in zip(types, items)])
 
-    def as_ref(x):
-        if isinstance(x, str):
-            return Named(x)
-        if isinstance(x, (Named, Ext, SlipExt, MOmega, Mach, CraigRef)):
-            return x
-        raise RefError(f"expected a theory reference, got {x!r}")
 
-    if head == "ext" and len(items) == 2 and isinstance(items[1], int):
-        return Ext(as_ref(items[0]), items[1])
-    if head == "slipext" and len(items) == 3 and isinstance(items[1], int) and isinstance(items[2], int):
-        return SlipExt(as_ref(items[0]), items[1], items[2])
-    if head == "momega" and len(items) == 2 and isinstance(items[0], int):
-        return MOmega(items[0], as_ref(items[1]))
-    if head == "mach" and len(items) == 1 and isinstance(items[0], int):
-        return Mach(items[0])
-    if head == "craig" and len(items) == 1:
-        return CraigRef(as_ref(items[0]))
-    raise RefError(f"unknown reference form {head}({items}) at {pos}")
+def _as_ref(x) -> Ref:
+    if isinstance(x, str):
+        return Named(x)
+    if isinstance(x, Ref):
+        return x
+    raise RefError(f"expected a theory reference, got {x!r}")

@@ -15,10 +15,10 @@ scan would, so monotonicity and determinism are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import coding, craig, refs, registry, theories
+from .coding import JUSTIFICATIONS, SCHEMES, Proof, Step, decode_proof, encode_proof  # noqa: F401 (re-exported)
 from .hierarchy import ComplexityClass, class_leq, classify
 from .syntax import (
     VALUE_BIT_CAP,
@@ -116,42 +116,6 @@ def kleene_or(a: TV3, b: TV3) -> TV3:
     if a.is_false() and b.is_false():
         return FALSE
     return UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# Proof objects
-
-
-@dataclass(frozen=True)
-class Step:
-    formula: Formula
-    # ("axiom",) | ("logical", scheme) | ("mp", i, j) | ("gen", i)
-    just: tuple
-
-
-@dataclass(frozen=True)
-class Proof:
-    steps: tuple
-
-    @property
-    def conclusion(self) -> Formula:
-        return self.steps[-1].formula
-
-
-SCHEMES = (
-    "K",
-    "S",
-    "CONTRA",
-    "AND-E1",
-    "AND-E2",
-    "AND-I",
-    "OR-I1",
-    "OR-I2",
-    "OR-E",
-    "ALL-E",
-    "ALL-DIST",
-    "EQ-REFL",
-)
 
 
 def _infer_witness(body: Formula, v: int, instance: Formula) -> Optional[Term]:
@@ -282,29 +246,29 @@ def check_proof_steps(axiom_test: AxiomTest, proof: Proof, goal: Formula) -> boo
         return False
     for i, st in enumerate(proof.steps):
         j = st.just
-        if not isinstance(j, tuple) or not j:
+        if not (isinstance(j, tuple) and j and isinstance(j[0], str)):
             return False
-        if j[0] == "axiom" and len(j) == 1:
+        if len(j) - 1 != JUSTIFICATIONS.get(j[0], (None, None))[1]:
+            return False
+        if j[0] == "axiom":
             if not axiom_test(st.formula).is_true():
                 return False
-        elif j[0] == "logical" and len(j) == 2:
+        elif j[0] == "logical":
             if j[1] not in SCHEMES or not match_scheme(j[1], st.formula):
                 return False
-        elif j[0] == "mp" and len(j) == 3:
+        elif j[0] == "mp":
             a, b = j[1], j[2]
             if not (0 <= a < i and 0 <= b < i):
                 return False
             imp = proof.steps[a].formula
             if not (isinstance(imp, Imp) and imp.left == proof.steps[b].formula and imp.right == st.formula):
                 return False
-        elif j[0] == "gen" and len(j) == 2:
+        else:  # gen
             a = j[1]
             if not (0 <= a < i):
                 return False
             if not (isinstance(st.formula, All) and st.formula.body == proof.steps[a].formula):
                 return False
-        else:
-            return False
     return proof.conclusion == goal
 
 
@@ -375,84 +339,18 @@ def _axiom_test(ref, budget: int, codes: tuple = ()) -> AxiomTest:
     return test
 
 
-def check_proof(T: Union[TheoryPresentation, refs.TheoryRef, str], proof: Proof, goal: Formula, budget: int = 64) -> bool:
+def check_proof(T: Union[TheoryPresentation, refs.Ref, str], proof: Proof, goal: Formula, budget: int = 64) -> bool:
     """True iff every step is justified over T and the last step is goal."""
     return check_proof_steps(_axiom_test(T, budget), proof, goal)
 
 
 # ---------------------------------------------------------------------------
-# Proof coding
-
-
-def encode_proof(p: Proof) -> int:
-    out = bytearray([coding.PR_PROOF])
-    out += coding._varint(len(p.steps))
-    for st in p.steps:
-        coding._ser_node(st.formula, out)
-        j = st.just
-        if j[0] == "axiom":
-            out.append(coding.J_AXIOM)
-        elif j[0] == "logical":
-            out.append(coding.J_LOGICAL)
-            out += coding._varint(SCHEMES.index(j[1]))
-        elif j[0] == "mp":
-            out.append(coding.J_MP)
-            out += coding._varint(j[1])
-            out += coding._varint(j[2])
-        elif j[0] == "gen":
-            out.append(coding.J_GEN)
-            out += coding._varint(j[1])
-        else:
-            raise ValueError(f"bad justification {j!r}")
-    return int.from_bytes(bytes([coding.SENTINEL]) + bytes(out), "big")
-
-
-def decode_proof(n: int) -> Proof:
-    r = coding._body(n)
-    if r.byte() != coding.PR_PROOF:
-        raise coding.NotACode("not a proof code")
-    count = r.varint()
-    if count > 100_000:
-        raise coding.NotACode("proof too long")
-    steps = []
-    for _ in range(count):
-        f = coding._read_node(r)
-        if not isinstance(f, Formula):
-            raise coding.NotACode("proof step is not a formula")
-        tag = r.byte()
-        if tag == coding.J_AXIOM:
-            just: tuple = ("axiom",)
-        elif tag == coding.J_LOGICAL:
-            idx = r.varint()
-            if idx >= len(SCHEMES):
-                raise coding.NotACode("bad scheme index")
-            just = ("logical", SCHEMES[idx])
-        elif tag == coding.J_MP:
-            just = ("mp", r.varint(), r.varint())
-        elif tag == coding.J_GEN:
-            just = ("gen", r.varint())
-        else:
-            raise coding.NotACode("bad justification tag")
-        steps.append(Step(f, just))
-    if not r.done():
-        raise coding.NotACode("trailing bytes")
-    return Proof(tuple(steps))
+# Proof text
 
 
 def proof_to_text(p: Proof) -> str:
     """Line-oriented proof format: `step <i>: <formula> ; <justification>`."""
-    lines = []
-    for i, st in enumerate(p.steps):
-        j = st.just
-        if j[0] == "axiom":
-            jt = "axiom"
-        elif j[0] == "logical":
-            jt = f"logical {j[1]}"
-        elif j[0] == "mp":
-            jt = f"mp {j[1]} {j[2]}"
-        else:
-            jt = f"gen {j[1]}"
-        lines.append(f"step {i}: {print_formula(st.formula)} ; {jt}")
+    lines = (f"step {i}: {print_formula(st.formula)} ; {' '.join(map(str, st.just))}" for i, st in enumerate(p.steps))
     return "\n".join(lines)
 
 
@@ -469,18 +367,10 @@ def proof_from_text(text: str) -> Proof:
         if not sep:
             raise ValueError(f"line {lineno}: missing justification")
         f = parse_formula(body.strip())
-        parts = jtext.split()
-        if parts == ["axiom"]:
-            just: tuple = ("axiom",)
-        elif len(parts) == 2 and parts[0] == "logical":
-            just = ("logical", parts[1])
-        elif len(parts) == 3 and parts[0] == "mp":
-            just = ("mp", int(parts[1]), int(parts[2]))
-        elif len(parts) == 2 and parts[0] == "gen":
-            just = ("gen", int(parts[1]))
-        else:
+        kind, *args = jtext.split() or [""]
+        if len(args) != JUSTIFICATIONS.get(kind, (None, None))[1]:
             raise ValueError(f"line {lineno}: bad justification {jtext.strip()!r}")
-        steps.append(Step(f, just))
+        steps.append(Step(f, (kind, *(a if kind == "logical" else int(a) for a in args))))
     return Proof(tuple(steps))
 
 
@@ -584,17 +474,8 @@ def _graph_contraction(f, budget: int, env: dict) -> Optional[TV3]:
         fam = registry.get_family(g.name)
     except KeyError:
         return None
-    if fam.graph_out is None or fam.solver is None:
-        return None
-    if fam.graph_out >= len(g.args) or g.args[fam.graph_out] != Var(v):
-        return None
-    others = [a for i, a in enumerate(g.args) if i != fam.graph_out]
-    if any(v in term_vars(a) for a in others):
-        return None
-    try:
-        vals = [term_value_env(a, env) for a in others]
-        w = fam.solver(g.params, vals)
-    except (OverflowError, EvalError):
+    w = _graph_solve(fam, g, v, env)
+    if w is _NOT_SOLVED:
         return None
     if w is None:
         return TRUE if not positive else FALSE
@@ -614,6 +495,26 @@ def _graph_contraction(f, budget: int, env: dict) -> Optional[TV3]:
     return eval_formula(body, budget, env2)
 
 
+_NOT_SOLVED = object()
+
+
+def _graph_solve(fam, g: DAtom, v: int, env: dict):
+    """The value of x_v that the functional-graph atom g (of family fam)
+    forces, or None if no value satisfies g; _NOT_SOLVED if g's output
+    argument is not x_v, another argument mentions v, or the solve fails."""
+    if fam.graph_out is None or fam.solver is None:
+        return _NOT_SOLVED
+    if fam.graph_out >= len(g.args) or g.args[fam.graph_out] != Var(v):
+        return _NOT_SOLVED
+    others = [a for i, a in enumerate(g.args) if i != fam.graph_out]
+    if any(v in term_vars(a) for a in others):
+        return _NOT_SOLVED
+    try:
+        return fam.solver(g.params, [term_value_env(a, env) for a in others])
+    except (OverflowError, EvalError):
+        return _NOT_SOLVED
+
+
 def _suggest_witnesses(matrix: Formula, v: int, env: dict, budget: int) -> list[int]:
     """Candidate values for v harvested from functional atoms in the matrix."""
     out: set[int] = set()
@@ -630,17 +531,9 @@ def _suggest_witnesses(matrix: Formula, v: int, env: dict, budget: int) -> list[
                     out.update(fam.suggester(g.params, g.args, v, env, budget))
                 except (OverflowError, EvalError):
                     pass
-            if fam.graph_out is not None and fam.solver is not None:
-                if fam.graph_out < len(g.args) and g.args[fam.graph_out] == Var(v):
-                    others = [a for i, a in enumerate(g.args) if i != fam.graph_out]
-                    if not any(v in term_vars(a) for a in others):
-                        try:
-                            vals = [term_value_env(a, env) for a in others]
-                            w = fam.solver(g.params, vals)
-                            if w is not None:
-                                out.add(w)
-                        except (OverflowError, EvalError):
-                            pass
+            w = _graph_solve(fam, g, v, env)
+            if w is not None and w is not _NOT_SOLVED:
+                out.add(w)
             continue
         for c in g._children():
             if isinstance(c, Formula):
@@ -822,7 +715,7 @@ def _prove(p: int, goal_of: Callable[[Proof], Union[Formula, TV3]], test: AxiomT
     return from_bool(check_proof_steps(test, proof, goal))
 
 
-def eval_prf(T: Union[TheoryPresentation, refs.TheoryRef, str], p: int, x: int, budget: int = 64) -> TV3:
+def eval_prf(T: Union[TheoryPresentation, refs.Ref, str], p: int, x: int, budget: int = 64) -> TV3:
     """Two-valued meta-evaluator behind Prf[T]: decode failures are false."""
     return _prove(p, lambda proof: coding.decode_formula(x), _axiom_test(T, budget))
 

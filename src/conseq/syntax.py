@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .refs import Ref, ref_from_parts
+
 
 class SyntaxError_(ValueError):
     """Parse failure, carrying a character position."""
@@ -490,11 +492,16 @@ def substitute(f: Formula, v: int, t: Term) -> Formula:
             # a bounded quantifier's bound term is outside the binder's scope
             bound = (_subst_term(g.bound, v, t),) if isinstance(g, _Bounded) else ()
             var, body = g.var, g.body
-            if var != v and v in free_vars(body):
-                if var in t_vars:
-                    # rename the binder to avoid capture
-                    var = max(t_vars | free_vars(body) | {v, var}) + 1
-                    body = go(body, g.var, Var(var), frozenset({var}))
+            in_body = var != v and v in free_vars(body)
+            # t would be captured in the body, or land in the bound beside the binder
+            if var in t_vars and (in_body or (bound and v in term_vars(g.bound))):
+                # rename the binder to avoid capture, past the bound's variables
+                taken = term_vars(bound[0]) if bound else frozenset()
+                var = max(t_vars | free_vars(body) | {v, var}) + 1
+                while var in taken:
+                    var += 1
+                body = go(body, g.var, Var(var), frozenset({var}))
+            if in_body:
                 body = go(body, v, t, t_vars)
             elif not bound:
                 return g  # v is shadowed or absent: nothing changes
@@ -527,8 +534,9 @@ def _param_text(p) -> str:
         return "{" + print_formula(p) + "}"
     if isinstance(p, Term):
         return "{" + print_term(p) + "}"
-    # theory references and other structured params render themselves
-    return p.text()
+    if isinstance(p, Ref):
+        return p.text()
+    raise TypeError(f"not a parameter: {p!r}")
 
 
 def print_term(t: Term) -> str:
@@ -802,8 +810,6 @@ class _Parser:
                     self.next()
                     items.append(self.parse_param())
                 self.expect(")")
-                from .refs import ref_from_parts  # local import: avoids cycle
-
                 return ref_from_parts(t.text, items, t.pos)
             return t.text
         raise SyntaxError_(f"expected a parameter, found {t.text!r}", t.pos)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import coding, gen, refs
+from .coding import Proof, Step
 from .hierarchy import ComplexityClass, Sigma, classify, class_leq
 from .syntax import (
     Add,
@@ -59,7 +60,7 @@ class TheoryPresentation:
     and the machine code of the enumerator description."""
 
     name: str
-    ref: refs.TheoryRef
+    ref: refs.Ref
     axiom_formula: Formula  # unary, free variable x0
     enumerator: Callable[[int], Formula]
     machine_code: int
@@ -312,7 +313,7 @@ def con_formula(T: TheoryPresentation) -> Formula:
     return Not(Ex(0, DAtom("Prf", (_ref_param(T.ref),), (Var(0), falsum_literal()))))
 
 
-def _ref_param(r: refs.TheoryRef):
+def _ref_param(r: refs.Ref):
     # bare named references live as plain strings inside atom parameters
     return r.name if isinstance(r, refs.Named) else r
 
@@ -356,7 +357,7 @@ def rfn_schema_instance(T: TheoryPresentation, phi: Formula) -> Formula:
     return rfn_instance_for_ref(T.ref, phi)
 
 
-def rfn_instance_for_ref(ref: refs.TheoryRef, phi: Formula) -> Formula:
+def rfn_instance_for_ref(ref: refs.Ref, phi: Formula) -> Formula:
     fv = sorted(free_vars(phi))
     p = max(max_var(phi) + 1, max(fv, default=-1) + 1)
     code_lit = code_literal(coding.encode(phi))
@@ -516,12 +517,10 @@ def machine_stream(code: int) -> Callable[[int], Formula]:
     return enum
 
 
-def toy_inconsistent_theory() -> tuple[TheoryPresentation, "object"]:
+def toy_inconsistent_theory() -> tuple[TheoryPresentation, Proof]:
     """A deliberately inconsistent culprit: its single axiom is 0=S(0).
     Returns the presentation together with an explicit 2-step proof of the
     falsum (both steps are the axiom itself)."""
-    from .semantics import Proof, Step  # local import; semantics imports us
-
     bot = falsum()
     code = coding.encode(bot)
     ref = refs.Ext(refs.Named("Q"), code)
@@ -534,7 +533,7 @@ def toy_inconsistent_theory() -> tuple[TheoryPresentation, "object"]:
 
 
 @coding.cached
-def resolve_ref(ref: refs.TheoryRef) -> TheoryPresentation:
+def resolve_ref(ref: refs.Ref) -> TheoryPresentation:
     """Presentation for a reference; SlipExt has membership semantics only
     and resolves to its base presentation for enumeration purposes."""
     if isinstance(ref, str):

@@ -2,7 +2,7 @@ import io
 
 from conseq import theories
 from conseq.cli import run
-from conseq.syntax import print_formula
+from conseq.syntax import code_literal, print_formula, print_term
 
 
 def _run(argv):
@@ -150,3 +150,10 @@ def test_classify_of_a_deeply_nested_formula():
 def test_deeply_nested_formula_is_a_domain_error():
     for argv in (["eval", "--budget", "4", DEEP + "0=0"], ["fixpoint", DEEP + "x2=0", "--hole", "2"]):
         assert _run(argv) == (1, "error: formula nested too deeply\n")
+
+
+def test_atom_on_a_code_with_a_name_that_is_not_utf8_is_false():
+    # the code of an atom whose one-byte name 0xFF is not UTF-8: not a code
+    code = int.from_bytes(bytes([0x5A, 0x12, 0x01, 0xFF, 0x00, 0x00]), "big")
+    lit = print_term(code_literal(code))
+    assert _run(["eval", "--budget", "5", f"InSigma[1]({lit})"]) == (0, "false\n")

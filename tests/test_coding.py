@@ -16,6 +16,7 @@ from conseq.coding import (
     seq_decode,
     seq_encode,
     subst_code,
+    try_decode_formula,
 )
 from conseq.gen import random_formula
 from conseq.semantics import Proof, Step, decode_proof, encode_proof
@@ -149,6 +150,25 @@ def test_decode_is_partial_not_junk_tolerant():
     c = encode(parse_formula("0=0"))
     with pytest.raises(NotACode):
         decode(c + 1)
+
+
+# A name or string that is not UTF-8: an atom name, a string parameter and a
+# named reference, each holding the single byte 0xFF.
+NOT_UTF8_ATOM = int.from_bytes(bytes([0x5A, 0x12, 0x01, 0xFF, 0x00, 0x00]), "big")
+NOT_UTF8_STR_PARAM = int.from_bytes(bytes([0x5A, 0x12, 0x01, 0x46, 0x01, 0x21, 0x01, 0xFF, 0x00]), "big")
+NOT_UTF8_REF = int.from_bytes(bytes([0x5A, 0x22, 0x01, 0x01, 0xFF]), "big")
+
+
+@pytest.mark.parametrize("code", [NOT_UTF8_ATOM, NOT_UTF8_STR_PARAM], ids=["atom-name", "str-param"])
+def test_string_that_is_not_utf8_makes_a_non_code(code):
+    with pytest.raises(NotACode, match="not UTF-8"):
+        decode(code)
+    assert try_decode_formula(code) is None
+
+
+def test_reference_name_that_is_not_utf8_makes_a_non_code():
+    with pytest.raises(NotACode, match="not UTF-8"):
+        decode_ref(NOT_UTF8_REF)
 
 
 def test_seq_roundtrip():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conseq import refs
 from conseq.coding import decode, encode
 from conseq.gen import random_formula, random_term
 from conseq.syntax import (
@@ -102,6 +103,21 @@ def test_substitute_capture_renames():
     assert isinstance(g, All)
     assert g.var != 1
     assert g.body == EqAtom(Var(1), Var(g.var))
+
+
+@pytest.mark.parametrize(
+    "text,v,t,want,free",
+    [
+        # the substituted bound term would contain the binder: it is renamed
+        ("E x3<=x0. 0=0", 0, Var(3), "E x4<=x3. 0=0", {3}),
+        ("E x0<=x1. x0=0", 1, Var(0), "E x2<=x0. x2=0", {0}),
+    ],
+    ids=["binder-free-in-body", "binder-bound-in-body"],
+)
+def test_substitute_renames_a_binder_its_bound_term_would_capture(text, v, t, want, free):
+    g = substitute(parse_formula(text), v, t)
+    assert print_formula(g) == want
+    assert free_vars(g) == free
 
 
 def naive_substitute(f, v, t):
@@ -273,3 +289,28 @@ def test_equality_agrees_with_codes(seed, depth):
     back = decode(encode(f))
     assert back == f and hash(back) == hash(f)
     assert parse_formula(print_formula(f)) == f
+
+
+def test_reference_params_print_and_parse_back():
+    ref = refs.CraigRef(refs.SlipExt(refs.MOmega(2, refs.Named("EA")), 7, 3))
+    assert ref.text() == "craig(slipext(momega(2,EA),7,3))"
+    f = parse_formula("Prf[craig(slipext(momega(2,EA),7,3))](x0,x1)")
+    assert f.params == (ref,) and print_formula(f) == "Prf[craig(slipext(momega(2,EA),7,3))](x0,x1)"
+
+
+@pytest.mark.parametrize(
+    "param,message",
+    [
+        ("ext(EA)", "unknown reference form ext(['EA']) at 4"),
+        ("ext(EA,EA)", "unknown reference form ext(['EA', 'EA']) at 4"),
+        ("ext(5,EA)", "unknown reference form ext([5, 'EA']) at 4"),
+        ("ext(5,5)", "expected a theory reference, got 5"),
+        ("craig({0=0})", "expected a theory reference, got EqAtom(left=Zero(), right=Zero())"),
+        ("foo(EA)", "unknown reference form foo(['EA']) at 4"),
+    ],
+    ids=["wrong-arity", "not-an-int", "not-an-int-first", "not-a-reference", "formula-not-a-reference", "unknown-head"],
+)
+def test_bad_reference_syntax_messages(param, message):
+    with pytest.raises(refs.RefError) as e:
+        parse_formula(f"Prf[{param}](x0,x1)")
+    assert str(e.value) == message
