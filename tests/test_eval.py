@@ -27,11 +27,15 @@ from conseq.semantics import (
     logical_instance,
 )
 from conseq.syntax import (
+    VALUE_BIT_CAP,
     All,
     And,
+    BAll,
+    BEx,
     DAtom,
     EqAtom,
     Ex,
+    Exp,
     Imp,
     LeAtom,
     Not,
@@ -296,11 +300,15 @@ def test_bounded_proof_search():
 
 # ---------------------------------------------------------------------------
 # Pinned verdicts of the proof and truth atoms, evaluated end to end with
-# every argument written as a code literal
+# every argument written as a code literal, and of quantifiers guarded by a
+# functional-graph atom
 
 
-def _atom_cases():
+def _verdict_cases():
     enc = coding.encode
+
+    def atom(name, params, args):  # built when the row runs: code literals of proofs are large
+        return lambda: DAtom(name, params, tuple(code_literal(v) for v in args))
 
     def axiom_proof(f):
         return encode_proof(Proof((Step(f, ("axiom",)),)))
@@ -338,109 +346,133 @@ def _atom_cases():
     )
     connum_goal = theories.ncon_sent_of(2, code_literal(ga), 0)
 
+    s = code_literal(coding.seq_encode([500, 7]))
+
+    def seq_at(k):
+        return DAtom("SeqAt", (), (s, numeral(k), Var(0)))
+
+    le_500 = LeAtom(Var(0), code_literal(500))
+    past_cap = Exp(numeral(2), code_literal(VALUE_BIT_CAP))  # overflows term_value
+
     T, F, U = TRUE, FALSE, UNKNOWN
     return [
         # Prf[ref](p, g)
-        ("prf-axiom", "Prf", ("Q",), (axiom_proof(q_ax), enc(q_ax)), T),
-        ("prf-logical", "Prf", ("ZFstub",), (pa, ga), T),
-        ("prf-foreign-axiom", "Prf", ("ZFstub",), (axiom_proof(q_ax), enc(q_ax)), F),
-        ("prf-wrong-goal", "Prf", ("Q",), (pa, gb), F),
-        ("prf-noncode", "Prf", ("Q",), (junk, ga), F),
+        ("prf-axiom", atom("Prf", ("Q",), (axiom_proof(q_ax), enc(q_ax))), T),
+        ("prf-logical", atom("Prf", ("ZFstub",), (pa, ga)), T),
+        ("prf-foreign-axiom", atom("Prf", ("ZFstub",), (axiom_proof(q_ax), enc(q_ax))), F),
+        ("prf-wrong-goal", atom("Prf", ("Q",), (pa, gb)), F),
+        ("prf-noncode", atom("Prf", ("Q",), (junk, ga)), F),
         # PrfX[ref](p, g, e): ref axioms plus the sentence e
-        ("prfx-extra", "PrfX", ("ZFstub",), (pb, gb, gb), T),
-        ("prfx-theory", "PrfX", ("Q",), (axiom_proof(q_ax), enc(q_ax), ga), T),
-        ("prfx-false", "PrfX", ("ZFstub",), (pb, gb, ga), F),
-        ("prfx-noncode", "PrfX", ("Q",), (junk, gb, gb), F),
+        ("prfx-extra", atom("PrfX", ("ZFstub",), (pb, gb, gb)), T),
+        ("prfx-theory", atom("PrfX", ("Q",), (axiom_proof(q_ax), enc(q_ax), ga)), T),
+        ("prfx-false", atom("PrfX", ("ZFstub",), (pb, gb, ga)), F),
+        ("prfx-noncode", atom("PrfX", ("Q",), (junk, gb, gb)), F),
         # PrfSent(p, g, s) and PrfSentX(p, g, s, e)
-        ("prfsent-true", "PrfSent", (), (pb, gb, gb), T),
-        ("prfsent-false", "PrfSent", (), (pb, gb, ga), F),
-        ("prfsent-noncode", "PrfSent", (), (pb, junk, gb), F),
-        ("prfsentx-s", "PrfSentX", (), (pb, gb, gb, ga), T),
-        ("prfsentx-e", "PrfSentX", (), (pb, gb, ga, gb), T),
-        ("prfsentx-false", "PrfSentX", (), (pb, gb, ga, ga), F),
-        ("prfsentx-noncode", "PrfSentX", (), (junk, gb, gb, gb), F),
+        ("prfsent-true", atom("PrfSent", (), (pb, gb, gb)), T),
+        ("prfsent-false", atom("PrfSent", (), (pb, gb, ga)), F),
+        ("prfsent-noncode", atom("PrfSent", (), (pb, junk, gb)), F),
+        ("prfsentx-s", atom("PrfSentX", (), (pb, gb, gb, ga)), T),
+        ("prfsentx-e", atom("PrfSentX", (), (pb, gb, ga, gb)), T),
+        ("prfsentx-false", atom("PrfSentX", (), (pb, gb, ga, ga)), F),
+        ("prfsentx-noncode", atom("PrfSentX", (), (junk, gb, gb, gb)), F),
         # PrfMachX(p, g, y, e): machine-coded theory y plus the sentence e
-        ("prfmachx-extra", "PrfMachX", (), (pb, gb, y, gb), T),
-        ("prfmachx-base", "PrfMachX", (), (axiom_proof(b1_ax), enc(b1_ax), y, ga), T),
-        ("prfmachx-stream", "PrfMachX", (), (axiom_proof(mach_sent), enc(mach_sent), y, ga), T),
-        ("prfmachx-false", "PrfMachX", (), (pb, gb, y, ga), F),
-        ("prfmachx-nonmachine", "PrfMachX", (), (axiom_proof(b1_ax), enc(b1_ax), 7, ga), F),
-        ("prfmachx-noncode", "PrfMachX", (), (junk, gb, y, gb), F),
+        ("prfmachx-extra", atom("PrfMachX", (), (pb, gb, y, gb)), T),
+        ("prfmachx-base", atom("PrfMachX", (), (axiom_proof(b1_ax), enc(b1_ax), y, ga)), T),
+        ("prfmachx-stream", atom("PrfMachX", (), (axiom_proof(mach_sent), enc(mach_sent), y, ga)), T),
+        ("prfmachx-false", atom("PrfMachX", (), (pb, gb, y, ga)), F),
+        ("prfmachx-nonmachine", atom("PrfMachX", (), (axiom_proof(b1_ax), enc(b1_ax), 7, ga)), F),
+        ("prfmachx-noncode", atom("PrfMachX", (), (junk, gb, y, gb)), F),
         # PrfIdx[ref](k, g): canonical proof stream
-        ("prfidx-axiom", "PrfIdx", ("Q",), (0, enc(q0)), T),
-        ("prfidx-logical", "PrfIdx", ("Q",), (1, enc(logical_instance(0)[0])), T),
-        ("prfidx-false", "PrfIdx", ("Q",), (0, ga), F),
-        ("prfidx-noncode", "PrfIdx", ("Q",), (0, junk), F),
-        ("prfidx-far", "PrfIdx", ("Q",), (1_000_001, ga), U),
+        ("prfidx-axiom", atom("PrfIdx", ("Q",), (0, enc(q0))), T),
+        ("prfidx-logical", atom("PrfIdx", ("Q",), (1, enc(logical_instance(0)[0]))), T),
+        ("prfidx-false", atom("PrfIdx", ("Q",), (0, ga)), F),
+        ("prfidx-noncode", atom("PrfIdx", ("Q",), (0, junk)), F),
+        ("prfidx-far", atom("PrfIdx", ("Q",), (1_000_001, ga)), U),
         # PrfEx[ref](k, a): proof of the existential closure of unary a
-        ("prfex-true", "PrfEx", (ext_q,), (axiom_proof(ex_goal), enc(unary)), T),
-        ("prfex-false", "PrfEx", ("Q",), (axiom_proof(ex_goal), enc(unary)), F),
-        ("prfex-closed", "PrfEx", (ext_q,), (axiom_proof(ex_goal), ga), F),
-        ("prfex-noncode", "PrfEx", (ext_q,), (junk, enc(unary)), F),
+        ("prfex-true", atom("PrfEx", (ext_q,), (axiom_proof(ex_goal), enc(unary))), T),
+        ("prfex-false", atom("PrfEx", ("Q",), (axiom_proof(ex_goal), enc(unary))), F),
+        ("prfex-closed", atom("PrfEx", (ext_q,), (axiom_proof(ex_goal), ga)), F),
+        ("prfex-noncode", atom("PrfEx", (ext_q,), (junk, enc(unary))), F),
         # PrfSub[ref](p, f, v...): proof of f at the numerals of v...
-        ("prfsub-true", "PrfSub", ("EA",), (p_three, enc(base), 3), T),
-        ("prfsub-other-value", "PrfSub", ("EA",), (p_three, enc(base), 2), F),
-        ("prfsub-arity", "PrfSub", ("EA",), (p_three, enc(base)), F),
-        ("prfsub-noncode", "PrfSub", ("EA",), (junk, enc(base), 3), F),
-        ("prfsub-empty-proof", "PrfSub", ("EA",), (encode_proof(Proof(())), enc(base), 0), F),
+        ("prfsub-true", atom("PrfSub", ("EA",), (p_three, enc(base), 3)), T),
+        ("prfsub-other-value", atom("PrfSub", ("EA",), (p_three, enc(base), 2)), F),
+        ("prfsub-arity", atom("PrfSub", ("EA",), (p_three, enc(base))), F),
+        ("prfsub-noncode", atom("PrfSub", ("EA",), (junk, enc(base), 3)), F),
+        ("prfsub-empty-proof", atom("PrfSub", ("EA",), (encode_proof(Proof(())), enc(base), 0)), F),
         # PrfGoal[goal, thy, ...](p, y, ...)
-        ("goal-marker-sent", "PrfGoal", ("marker", "sent", "BSigma1"), (axiom_proof(marker), enc(marker)), T),
-        ("goal-marker-sent-false", "PrfGoal", ("marker", "sent", "BSigma1"), (axiom_proof(marker), ga), F),
-        ("goal-marker-idx", "PrfGoal", ("marker", "idx", "BSigma1"), (axiom_proof(marker), y), T),
-        ("goal-marker-idx-false", "PrfGoal", ("marker", "idx", "BSigma1"), (axiom_proof(marker), 7), F),
-        ("goal-marker-noncode", "PrfGoal", ("marker", "idx", "BSigma1"), (junk, y), F),
-        ("goal-inhab-sent", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 2), T),
-        ("goal-inhab-sent-false", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 1), F),
-        ("goal-inhab-idx", "PrfGoal", ("inhab", "idx"), (axiom_proof(inhab_goal), y, enc(sig2), 2), F),
-        ("goal-inhab-far", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 100_001), U),
-        ("goal-inhab-noncode-sigma", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), junk, 2), F),
-        ("goal-inhab-unary-sigma", "PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(unary), 2), F),
-        ("goal-inhab-noncode", "PrfGoal", ("inhab", "idx"), (junk, y, enc(sig2), 2), F),
-        ("goal-refl-sent", "PrfGoal", ("refl", "sent", 2, "Sigma", 1), (axiom_proof(refl_goal), enc(refl_goal), enc(sig2), 2), T),
-        ("goal-refl-sent-false", "PrfGoal", ("refl", "sent", 2, "Sigma", 1), (axiom_proof(refl_goal), enc(refl_goal), enc(sig2), 3), F),
-        ("goal-refl-idx", "PrfGoal", ("refl", "idx", 2, "Sigma", 1), (axiom_proof(refl_goal), y, enc(sig2), 2), F),
-        ("goal-refl-noncode", "PrfGoal", ("refl", "sent", 2, "Sigma", 1), (junk, enc(refl_goal), enc(sig2), 2), F),
-        ("goal-connum-sent", "PrfGoal", ("connum", "sent", 2), (axiom_proof(connum_goal), enc(connum_goal), ga), T),
-        ("goal-connum-sent-false", "PrfGoal", ("connum", "sent", 2), (axiom_proof(connum_goal), enc(connum_goal), gb), F),
-        ("goal-connum-idx", "PrfGoal", ("connum", "idx", 2), (axiom_proof(connum_goal), y, ga), F),
-        ("goal-connum-noncode", "PrfGoal", ("connum", "idx", 2), (junk, y, ga), F),
-        ("goal-unknown-kind", "PrfGoal", ("bogus", "sent"), (pb, gb), F),
+        ("goal-marker-sent", atom("PrfGoal", ("marker", "sent", "BSigma1"), (axiom_proof(marker), enc(marker))), T),
+        ("goal-marker-sent-false", atom("PrfGoal", ("marker", "sent", "BSigma1"), (axiom_proof(marker), ga)), F),
+        ("goal-marker-idx", atom("PrfGoal", ("marker", "idx", "BSigma1"), (axiom_proof(marker), y)), T),
+        ("goal-marker-idx-false", atom("PrfGoal", ("marker", "idx", "BSigma1"), (axiom_proof(marker), 7)), F),
+        ("goal-marker-noncode", atom("PrfGoal", ("marker", "idx", "BSigma1"), (junk, y)), F),
+        ("goal-inhab-sent", atom("PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 2)), T),
+        ("goal-inhab-sent-false", atom("PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 1)), F),
+        ("goal-inhab-idx", atom("PrfGoal", ("inhab", "idx"), (axiom_proof(inhab_goal), y, enc(sig2), 2)), F),
+        ("goal-inhab-far", atom("PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 100_001)), U),
+        ("goal-inhab-noncode-sigma", atom("PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), junk, 2)), F),
+        ("goal-inhab-unary-sigma", atom("PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(unary), 2)), F),
+        ("goal-inhab-noncode", atom("PrfGoal", ("inhab", "idx"), (junk, y, enc(sig2), 2)), F),
+        ("goal-refl-sent", atom("PrfGoal", ("refl", "sent", 2, "Sigma", 1), (axiom_proof(refl_goal), enc(refl_goal), enc(sig2), 2)), T),
+        ("goal-refl-sent-false", atom("PrfGoal", ("refl", "sent", 2, "Sigma", 1), (axiom_proof(refl_goal), enc(refl_goal), enc(sig2), 3)), F),
+        ("goal-refl-idx", atom("PrfGoal", ("refl", "idx", 2, "Sigma", 1), (axiom_proof(refl_goal), y, enc(sig2), 2)), F),
+        ("goal-refl-noncode", atom("PrfGoal", ("refl", "sent", 2, "Sigma", 1), (junk, enc(refl_goal), enc(sig2), 2)), F),
+        ("goal-connum-sent", atom("PrfGoal", ("connum", "sent", 2), (axiom_proof(connum_goal), enc(connum_goal), ga)), T),
+        ("goal-connum-sent-false", atom("PrfGoal", ("connum", "sent", 2), (axiom_proof(connum_goal), enc(connum_goal), gb)), F),
+        ("goal-connum-idx", atom("PrfGoal", ("connum", "idx", 2), (axiom_proof(connum_goal), y, ga)), F),
+        ("goal-connum-noncode", atom("PrfGoal", ("connum", "idx", 2), (junk, y, ga)), F),
+        ("goal-unknown-kind", atom("PrfGoal", ("bogus", "sent"), (pb, gb)), F),
         # TrueSigma[n](x) / TruePi[n](x): sentences only
-        ("truesigma-true", "TrueSigma", (1,), (enc(ex_goal),), T),
-        ("truesigma-false", "TrueSigma", (1,), (enc(falsum()),), F),
-        ("truesigma-open", "TrueSigma", (1,), (enc(unary),), F),
-        ("truesigma-noncode", "TrueSigma", (1,), (junk,), F),
-        ("truepi-true", "TruePi", (1,), (enc(parse_formula("A x0<=S(S(S(0))). x0<=S(S(S(0)))")),), T),
-        ("truepi-class", "TruePi", (0,), (enc(ex_goal),), F),
-        ("truepi-unknown", "TruePi", (1,), (enc(All(0, LeAtom(Var(0), Succ(Var(0))))),), U),
-        ("truepi-noncode", "TruePi", (1,), (junk,), F),
+        ("truesigma-true", atom("TrueSigma", (1,), (enc(ex_goal),)), T),
+        ("truesigma-false", atom("TrueSigma", (1,), (enc(falsum()),)), F),
+        ("truesigma-open", atom("TrueSigma", (1,), (enc(unary),)), F),
+        ("truesigma-noncode", atom("TrueSigma", (1,), (junk,)), F),
+        ("truepi-true", atom("TruePi", (1,), (enc(parse_formula("A x0<=S(S(S(0))). x0<=S(S(S(0)))")),)), T),
+        ("truepi-class", atom("TruePi", (0,), (enc(ex_goal),)), F),
+        ("truepi-unknown", atom("TruePi", (1,), (enc(All(0, LeAtom(Var(0), Succ(Var(0))))),)), U),
+        ("truepi-noncode", atom("TruePi", (1,), (junk,)), F),
         # TrueSeqAt[kind,n](a, s, k): at most one free variable
-        ("trueseqat-true", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 0), T),
-        ("trueseqat-false", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 1), F),
-        ("trueseqat-closed", "TrueSeqAt", ("Pi", 0), (ga, coding.seq_encode([2, 5]), 1), T),
-        ("trueseqat-binary", "TrueSeqAt", ("Pi", 0), (enc(sig2), coding.seq_encode([2, 5]), 0), F),
-        ("trueseqat-range", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 2), F),
-        ("trueseqat-class", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("E x1. x1=x0")), coding.seq_encode([2]), 0), F),
-        ("trueseqat-noncode", "TrueSeqAt", ("Pi", 0), (junk, coding.seq_encode([2, 5]), 0), F),
-        ("trueseqat-nonseq", "TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), ga, 0), F),
+        ("trueseqat-true", atom("TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 0)), T),
+        ("trueseqat-false", atom("TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 1)), F),
+        ("trueseqat-closed", atom("TrueSeqAt", ("Pi", 0), (ga, coding.seq_encode([2, 5]), 1)), T),
+        ("trueseqat-binary", atom("TrueSeqAt", ("Pi", 0), (enc(sig2), coding.seq_encode([2, 5]), 0)), F),
+        ("trueseqat-range", atom("TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), coding.seq_encode([2, 5]), 2)), F),
+        ("trueseqat-class", atom("TrueSeqAt", ("Pi", 0), (enc(parse_formula("E x1. x1=x0")), coding.seq_encode([2]), 0)), F),
+        ("trueseqat-noncode", atom("TrueSeqAt", ("Pi", 0), (junk, coding.seq_encode([2, 5]), 0)), F),
+        ("trueseqat-nonseq", atom("TrueSeqAt", ("Pi", 0), (enc(parse_formula("x0<=S(S(S(0)))")), ga, 0)), F),
         # TrueClAt[kind,n](s, a, b): exactly two free variables
-        ("trueclat-true", "TrueClAt", ("Sigma", 1), (enc(parse_formula("x0<=x1")), 2, 5), T),
-        ("trueclat-false", "TrueClAt", ("Sigma", 1), (enc(parse_formula("x0<=x1")), 5, 2), F),
-        ("trueclat-unary", "TrueClAt", ("Sigma", 1), (enc(unary), 0, 0), F),
-        ("trueclat-class", "TrueClAt", ("Pi", 0), (enc(parse_formula("E x2. (x2=x0/\\x2=x1)")), 2, 2), F),
-        ("trueclat-noncode", "TrueClAt", ("Sigma", 1), (junk, 2, 5), F),
+        ("trueclat-true", atom("TrueClAt", ("Sigma", 1), (enc(parse_formula("x0<=x1")), 2, 5)), T),
+        ("trueclat-false", atom("TrueClAt", ("Sigma", 1), (enc(parse_formula("x0<=x1")), 5, 2)), F),
+        ("trueclat-unary", atom("TrueClAt", ("Sigma", 1), (enc(unary), 0, 0)), F),
+        ("trueclat-class", atom("TrueClAt", ("Pi", 0), (enc(parse_formula("E x2. (x2=x0/\\x2=x1)")), 2, 2)), F),
+        ("trueclat-noncode", atom("TrueClAt", ("Sigma", 1), (junk, 2, 5)), F),
+        # Q x0 (SeqAt(s, k, x0) /\ body), E x0 SeqAt(...) and Q x0 (SeqAt(...) -> body):
+        # SeqAt fixes x0 = 500 for k = 0 and has no solution for k = 2, far
+        # beyond the budget of 20 that a scan reaches
+        ("graph-ex-true", lambda: Ex(0, And(seq_at(0), le_500)), T),
+        ("graph-ex-body-false", lambda: Ex(0, And(seq_at(0), Not(le_500))), F),
+        ("graph-ex-alone", lambda: Ex(0, seq_at(0)), T),
+        ("graph-ex-no-solution", lambda: Ex(0, And(seq_at(2), le_500)), F),
+        ("graph-all-false", lambda: All(0, Imp(seq_at(0), Not(le_500))), F),
+        ("graph-all-no-solution", lambda: All(0, Imp(seq_at(2), falsum())), T),
+        ("graph-bex-in-bound", lambda: BEx(0, numeral(600), And(seq_at(0), le_500)), T),
+        ("graph-bex-above-bound", lambda: BEx(0, numeral(30), And(seq_at(0), le_500)), F),
+        ("graph-ball-above-bound", lambda: BAll(0, numeral(30), Imp(seq_at(0), falsum())), T),
+        ("graph-bex-overflowed-bound", lambda: BEx(0, past_cap, And(seq_at(0), le_500)), T),
+        # no guard shape: the solved witness is suggested, below the cap of an
+        # overflowed bound
+        ("suggested-bex-overflowed-bound", lambda: BEx(0, past_cap, And(le_500, seq_at(0))), T),
+        ("suggested-ball-overflowed-bound", lambda: BAll(0, past_cap, Not(seq_at(0))), F),
     ]
 
 
-_ATOM_CASES = _atom_cases()
+_VERDICT_CASES = _verdict_cases()
 
 
 @pytest.mark.parametrize(
-    "name,params,args,expected", [c[1:] for c in _ATOM_CASES], ids=[c[0] for c in _ATOM_CASES]
+    "make,expected", [c[1:] for c in _VERDICT_CASES], ids=[c[0] for c in _VERDICT_CASES]
 )
-def test_atom_verdict_table(name, params, args, expected):
-    atom = DAtom(name, params, tuple(code_literal(v) for v in args))
-    assert eval_formula(atom, 20) == expected
+def test_atom_verdict_table(make, expected):
+    assert eval_formula(make(), 20) == expected
 
 
 def test_every_family_has_an_evaluator():
