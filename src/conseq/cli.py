@@ -15,7 +15,7 @@ from . import coding, craig, registry, sequences, theories
 from .diagonal import fixed_point, verify_fixed_point
 from .hierarchy import classify
 from .semantics import check_proof, eval_sentence
-from .syntax import DAtom, Formula, Imp, Succ, SyntaxError_, free_vars, parse_formula, print_formula, print_term
+from .syntax import DAtom, Formula, Imp, Succ, free_vars, parse_formula, print_formula, print_term
 
 NUMERAL_NODE_CAP = 100_000
 
@@ -120,6 +120,8 @@ def cmd_fixpoint(args, out) -> int:
 
 def cmd_craig(args, out) -> int:
     base = theories.standard_theory(args.base)
+    if base.finite_size is not None and args.count > base.finite_size:
+        raise DomainError(f"{base.name} has only {base.finite_size} axioms")
     pres = craig.craig_presentation(base)
     rec = pres.export_record(args.count)
     out.write(f"name {rec['name']}\n")
@@ -287,7 +289,7 @@ def run(argv: list[str], out=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args, out)
-    except (DomainError, SyntaxError_, coding.NotACode, theories.TheoryError, sequences.SequenceError, ValueError) as e:
+    except (DomainError, ValueError) as e:
         out.write(f"error: {e}\n")
         return 1
     except RecursionError:

@@ -8,7 +8,6 @@ Everything here is a pure function of its integer index or an explicit seed.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from .syntax import (
     Add,
@@ -99,20 +98,6 @@ def collection_instance(phi: Formula) -> Formula:
     if PAR_VAR in free_vars(body):
         body = All(PAR_VAR, body)
     return body
-
-
-def delta0_stream() -> Iterator[Formula]:
-    i = 0
-    while True:
-        yield delta0_matrix(i)
-        i += 1
-
-
-def class_stream(kind: str, level: int) -> Iterator[Formula]:
-    i = 0
-    while True:
-        yield class_formula(kind, level, i)
-        i += 1
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ class ComplexityClass:
     def __post_init__(self):
         if self.kind not in ("Sigma", "Pi", "Delta"):
             raise ValueError(f"bad class kind {self.kind!r}")
+        if not isinstance(self.level, int):
+            raise ValueError(f"class level {self.level!r} is not an int")
         if self.kind == "Delta" and self.level != 0:
             raise ValueError("Delta only exists at level 0")
         if self.level < 0:

@@ -6,15 +6,19 @@ recursion (each re-entry into evaluation from inside an atom runs at
 budget-1, which is what terminates self-referential codes).  Verdicts are
 monotone in the budget: true/false never flip, unknown may resolve.
 
-Exact shortcuts: a quantifier guarded by a functional-graph atom (Diag,
-SeqAt, MachIdx, ConSliceAt) contracts to its unique witness, and witness
-suggestions let bounded searches find astronomically large witnesses (codes)
-that no scan could reach.  Both shortcuts compute exactly what an unbounded
-scan would, so monotonicity and determinism are preserved.
+Quantifiers: one search evaluates the matrix over one candidate list, drawn
+from one of three sources.  A quantifier guarded by a functional-graph atom
+(Diag, SeqAt, MachIdx, ConSliceAt) contracts to the unique witness the guard
+forces, or to none (exhaustive); a bound within budget gives 0..bound
+(exhaustive); otherwise witness suggestions, which reach astronomically large
+witnesses (codes) that no scan could, precede 0..budget (not exhaustive).
+Each source computes exactly what an unbounded scan would, so monotonicity
+and determinism are preserved.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Optional, Union
 
 from . import coding, craig, refs, registry, theories
@@ -256,19 +260,14 @@ def check_proof_steps(axiom_test: AxiomTest, proof: Proof, goal: Formula) -> boo
         elif j[0] == "logical":
             if j[1] not in SCHEMES or not match_scheme(j[1], st.formula):
                 return False
+        elif not all(isinstance(a, int) and 0 <= a < i for a in j[1:]):  # mp and gen cite earlier steps
+            return False
         elif j[0] == "mp":
-            a, b = j[1], j[2]
-            if not (0 <= a < i and 0 <= b < i):
+            imp = proof.steps[j[1]].formula
+            if not (isinstance(imp, Imp) and imp.left == proof.steps[j[2]].formula and imp.right == st.formula):
                 return False
-            imp = proof.steps[a].formula
-            if not (isinstance(imp, Imp) and imp.left == proof.steps[b].formula and imp.right == st.formula):
-                return False
-        else:  # gen
-            a = j[1]
-            if not (0 <= a < i):
-                return False
-            if not (isinstance(st.formula, All) and st.formula.body == proof.steps[a].formula):
-                return False
+        elif not (isinstance(st.formula, All) and st.formula.body == proof.steps[j[1]].formula):  # gen
+            return False
     return proof.conclusion == goal
 
 
@@ -451,20 +450,15 @@ def _atom_value(f: DAtom, budget: int, env: dict) -> TV3:
     return fam.evaluator(f.params, argvals, budget)
 
 
-def _graph_contraction(f, budget: int, env: dict) -> Optional[TV3]:
-    """Exact evaluation of Q v (G [/\\ | ->] body) where G is a functional
-    graph atom determining v from the other arguments."""
-    if isinstance(f, (Ex, BEx)):
-        v, inner, positive = f.var, f.body, True
-    elif isinstance(f, (All, BAll)):
-        v, inner, positive = f.var, f.body, False
-    else:
-        return None
-    if positive and isinstance(inner, And):
-        g, body = inner.left, inner.right
-    elif positive and isinstance(inner, DAtom):
-        g, body = inner, None
-    elif not positive and isinstance(inner, Imp):
+def _contraction(f, positive: bool, env: dict):
+    """(body, witnesses) for a quantifier f of the shape E v (G /\\ body),
+    E v G or A v (G -> body) (bounded or not), where the functional-graph
+    atom G forces the value of x_v: witnesses is that one value, or empty if
+    no value satisfies G, and body is 0=0 for E v G.  None for any other f."""
+    inner = f.body
+    if positive and isinstance(inner, DAtom):
+        g, body = inner, _TRUE_BODY
+    elif isinstance(inner, And if positive else Imp):
         g, body = inner.left, inner.right
     else:
         return None
@@ -474,27 +468,13 @@ def _graph_contraction(f, budget: int, env: dict) -> Optional[TV3]:
         fam = registry.get_family(g.name)
     except KeyError:
         return None
-    w = _graph_solve(fam, g, v, env)
+    w = _graph_solve(fam, g, f.var, env)
     if w is _NOT_SOLVED:
         return None
-    if w is None:
-        return TRUE if not positive else FALSE
-    # bounded forms: the witness must respect the bound
-    if isinstance(f, (BEx, BAll)):
-        try:
-            bval = term_value_env(f.bound, env)
-            in_range = w <= bval
-        except OverflowError:
-            in_range = w.bit_length() < VALUE_BIT_CAP  # bound exceeds the cap
-        if not in_range:
-            return TRUE if not positive else FALSE
-    if body is None:
-        return TRUE if positive else FALSE
-    env2 = dict(env)
-    env2[v] = w
-    return eval_formula(body, budget, env2)
+    return body, ([] if w is None else [w])
 
 
+_TRUE_BODY = EqAtom(ZERO, ZERO)
 _NOT_SOLVED = object()
 
 
@@ -642,45 +622,31 @@ def eval_formula(f: Formula, budget: int, env: Optional[dict] = None) -> TV3:
             return TRUE
         return kleene_or(a.negate(), eval_formula(f.right, budget, env))
     if isinstance(f, (Ex, All, BEx, BAll)):
-        c = _graph_contraction(f, budget, env)
-        if c is not None:
-            return c
+        # the one candidate list of the module docstring, then one search over it
         positive = isinstance(f, (Ex, BEx))
-        body = f.body
         v = f.var
-        bound_val: Optional[int] = None
-        exhaustive = False
-        if isinstance(f, (BEx, BAll)):
+        body, witnesses = _contraction(f, positive, env) or (f.body, None)
+        exhaustive = witnesses is not None
+        use_bound = isinstance(f, (BEx, BAll)) and witnesses != []  # no solution: decided without the bound
+        if use_bound:
             try:
-                bound_val = term_value_env(f.bound, env)
+                bound_val: Optional[int] = term_value_env(f.bound, env)
             except OverflowError:
                 bound_val = None
-            if bound_val is not None and bound_val <= budget:
-                hi = bound_val
-                exhaustive = True
-            else:
-                hi = budget
+        if not exhaustive and use_bound and bound_val is not None and bound_val <= budget:
+            witnesses, exhaustive = range(bound_val + 1), True
         else:
-            hi = budget
-
+            if not exhaustive:
+                witnesses = _suggest_witnesses(body, v, env, budget)
+            if use_bound:  # a bound past VALUE_BIT_CAP bits admits every witness below the cap
+                witnesses = [
+                    w for w in witnesses if (w <= bound_val if bound_val is not None else w.bit_length() < VALUE_BIT_CAP)
+                ]
+            if not exhaustive:
+                witnesses = chain(witnesses, range(budget + 1))
         env2 = dict(env)
         saw_unknown = False
-        if not exhaustive:
-            # targeted witnesses first: codes live far beyond any scan range
-            for w in _suggest_witnesses(body, v, env, budget):
-                if bound_val is not None and w > bound_val:
-                    continue
-                if bound_val is None and isinstance(f, (BEx, BAll)) and w.bit_length() >= VALUE_BIT_CAP:
-                    continue
-                env2[v] = w
-                r = eval_formula(body, budget, env2)
-                if positive and r.is_true():
-                    return TRUE
-                if not positive and r.is_false():
-                    return FALSE
-                if r.is_unknown():
-                    saw_unknown = True
-        for w in range(hi + 1):
+        for w in witnesses:
             env2[v] = w
             r = eval_formula(body, budget, env2)
             if positive and r.is_true():

@@ -157,3 +157,14 @@ def test_atom_on_a_code_with_a_name_that_is_not_utf8_is_false():
     code = int.from_bytes(bytes([0x5A, 0x12, 0x01, 0xFF, 0x00, 0x00]), "big")
     lit = print_term(code_literal(code))
     assert _run(["eval", "--budget", "5", f"InSigma[1]({lit})"]) == (0, "false\n")
+
+
+def test_class_level_that_is_not_an_int_is_a_domain_error():
+    assert _run(["eval", "--budget", "3", "TrueSigma[x](0)"]) == (1, "error: class level 'x' is not an int\n")
+
+
+def test_craig_count_past_a_finite_base_is_a_domain_error():
+    assert _run(["craig", "--base", "Q", "--count", "20"]) == (1, "error: Q has only 8 axioms\n")
+    assert _run(["craig", "--base", "ZFstub", "--count", "11"]) == (1, "error: ZFstub has only 10 axioms\n")
+    code, text = _run(["craig", "--base", "Q", "--count", "8"])
+    assert code == 0 and text.endswith("axiom 7 certificates ok\n")

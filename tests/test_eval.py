@@ -149,6 +149,18 @@ def test_check_proof_rejects_dangling_index():
     assert not check_proof(standard_theory("Q"), p, a)
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [
+        (Step(All(0, parse_formula("0=0")), ("gen", "x")),),
+        (Step(parse_formula("0=0"), ("logical", "EQ-REFL")), Step(parse_formula("0=0"), ("mp", 0, None))),
+    ],
+    ids=["gen-str", "mp-none"],
+)
+def test_check_proof_rejects_a_step_index_that_is_not_an_int(steps):
+    assert not check_proof(standard_theory("Q"), Proof(steps), steps[-1].formula)
+
+
 def test_check_proof_rejects_wrong_goal():
     a = parse_formula("0=0")
     p = Proof((Step(a, ("logical", "EQ-REFL")),))
