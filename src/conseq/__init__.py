@@ -2,10 +2,10 @@
 consistency sequences at desk scale.
 
 Library layers (import order is the dependency order):
-  syntax     -- terms/formulas, parsing, printing, substitution
   refs       -- structured theory references
-  coding     -- Goedel numbering, sequences, code-level functions
   registry   -- designated-atom declarations
+  syntax     -- terms/formulas, parsing, printing, substitution
+  coding     -- Goedel numbering, sequences, code-level functions
   hierarchy  -- classification, prenexing, collection rewrite
   gen        -- deterministic formula streams
   theories   -- presentations and reflection builders

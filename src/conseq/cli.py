@@ -24,6 +24,14 @@ class DomainError(Exception):
     pass
 
 
+def nat(text: str) -> int:
+    """argparse type of counts and bounds: a negative one is a usage error."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
 def _max_numeral_nodes(f) -> int:
     best = 0
     stack = [f]
@@ -229,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixpoint", help="diagonal fixed point of a formula at a hole variable")
     p.add_argument("formula")
     p.add_argument("--hole", type=int, required=True)
-    p.add_argument("--verify", type=int, default=0, metavar="SAMPLES")
+    p.add_argument("--verify", type=nat, default=0, metavar="SAMPLES")
     p.add_argument("--budget", type=int, default=200)
     p.set_defaults(fn=cmd_fixpoint)
 
     p = sub.add_parser("craig", help="padded elementary presentation of a theory stream")
     p.add_argument("--base", required=True)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=nat, default=5)
     p.set_defaults(fn=cmd_craig)
 
     p = sub.add_parser("eval", help="budgeted three-valued truth of a sentence")
@@ -256,15 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = seqsub.add_parser("slice")
     p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--n", type=nat, required=True)
+    p.add_argument("--bound", type=nat, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--all", action="store_true", help="print every scanned code")
     p.set_defaults(fn=cmd_seq_slice)
 
     p = seqsub.add_parser("index-of")
     p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=nat, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.set_defaults(fn=cmd_seq_index_of)
 

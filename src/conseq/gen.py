@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from . import registry
 from .syntax import (
     Add,
     All,
@@ -137,12 +138,12 @@ def random_formula(rng: random.Random, depth: int, var_pool: list[int], datoms: 
             return EqAtom(a, b)
         if r < 0.9:
             return LeAtom(a, b)
-        pool = [("InSigma", (1,), 1), ("InPi", (2,), 1), ("SeqAt", (), 3)]
+        pool = [("InSigma", (1,)), ("InPi", (2,)), ("SeqAt", ())]
         if datoms:
-            pool.append(("TrueSigma", (1,), 1))
-            pool.append(("TruePi", (2,), 1))
-        name, params, nargs = rng.choice(pool)
-        return DAtom(name, params, tuple(random_term(rng, 1, var_pool) for _ in range(nargs)))
+            pool.append(("TrueSigma", (1,)))
+            pool.append(("TruePi", (2,)))
+        name, params = rng.choice(pool)
+        return DAtom(name, params, tuple(random_term(rng, 1, var_pool) for _ in range(registry.FAMILIES[name].arity)))
     op = rng.randrange(8)
     if op == 0:
         return Not(random_formula(rng, depth - 1, var_pool, datoms))

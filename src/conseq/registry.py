@@ -1,11 +1,14 @@
-"""Designated-atom registry.
+"""Designated-atom registry: one declaration per atom family.
 
-Each designated atom family has a declared arity, a declared complexity class
-(as a ("Sigma"|"Pi"|"Delta", level) pair, possibly parameter-dependent), and a
-meta-evaluator installed by the semantics module.  Declared classes stand in
-for full internal arithmetizations: the classifier trusts them, and the
-evaluator dispatches to the meta level.  The registry is populated here at
-import time and frozen; the semantics module only fills evaluator slots.
+FAMILIES declares each family once: its argument count, its parameter
+signature, its declared complexity class and its functional-graph output
+argument.  syntax.DAtom checks every atom of a registered name against its
+declaration when the atom is built, so parsing, decoding, substitution and
+the public API all reject a malformed atom with ValueError; unregistered
+names pass.  The semantics module installs each family's evaluator, solver
+and suggester from one table.  Declared classes stand in for full internal
+arithmetizations: the classifier trusts them, and the evaluator dispatches
+to the meta level.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -13,106 +16,96 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+# Parameter types, each named by what it admits; syntax holds their tests.
+# A tuple of identifiers admits exactly those identifiers.
+NAT = "a natural"
+STR = "a name"
+REF = "a theory reference"  # a name or a refs.Ref
+FORMULA = "a formula"
+KIND = ("Sigma", "Pi", "Delta")
+THY = ("idx", "sent")  # PrfGoal's theory: machine index y, or single sentence y
+
 
 @dataclass
 class Family:
-    name: str
-    arity: Optional[int]  # None means variadic
-    declared: Callable[[tuple], tuple]  # params -> (kind, level)
-    # installed by conseq.semantics:
-    evaluator: Optional[Callable] = None
-    # functional-graph data: index of the output argument solvable from the
-    # others, or None.  Used for exact guarded-quantifier contraction.
+    arity: int  # argument count; a variadic family takes this many or more
+    params: tuple  # parameter signature
+    # declared class: None is Delta 0; (kind, i) is kind at level params[i],
+    # where kind is Sigma or Pi, or the index of the parameter holding it
+    cls: Optional[tuple] = None
+    # index of the argument a functional-graph atom determines from the others
     graph_out: Optional[int] = None
+    variadic: bool = False
+    # declarations keyed by params[0], each checked in place of this one
+    shapes: Optional[dict] = None
+    # installed by conseq.semantics, read at call time:
+    # evaluator (params, arg values, budget) -> TV3
+    evaluator: Optional[Callable] = None
+    # solver (params, values of the other args) -> the graph_out value, or None
     solver: Optional[Callable] = None
-    # optional witness suggester: (params, arg_terms, var, env, budget) -> [int]
+    # suggester (params, arg terms, var, env, budget) -> [witness]
     suggester: Optional[Callable] = None
 
 
-_FAMILIES: dict[str, Family] = {}
+# PrfGoal's goal shapes: the goal built from the params and the arguments
+# after (p, y), proved over the y-theory
+GOALS = {
+    "marker": Family(2, (("marker",), THY, STR)),  # [marker, thy, base](p, y): base's marker sentence
+    "inhab": Family(4, (("inhab",), THY)),  # [inhab, thy](p, y, s, x): E-instance of binary decode(s) at x+1
+    "refl": Family(4, (("refl",), THY, NAT, KIND, NAT)),  # [refl, thy, m, kind, n](p, y, s, x): m-reflection
+    "connum": Family(3, (("connum",), THY, NAT)),  # [connum, thy, m](p, y, c): mCon of the theory numerated by c
+}
 
-
-def _add(name: str, arity: Optional[int], declared, graph_out=None) -> None:
-    _FAMILIES[name] = Family(name, arity, declared, graph_out=graph_out)
-
-
-def _delta(_params):
-    return ("Delta", 0)
-
-
-def _level_class(kind_index: int, level_index: int):
-    def declared(params):
-        return (params[kind_index], params[level_index])
-
-    return declared
-
-
-def _fixed_kind(kind: str, level_index: int):
-    def declared(params):
-        return (kind, params[level_index])
-
-    return declared
-
-
-# -- provability / proof checking (all Delta-0) ------------------------------
-_add("AxOf", 1, _delta)          # [ref](x): x codes an axiom of ref
-_add("Prf", 2, _delta)           # [ref](p, g): decode(p) proves decode(g) in ref
-_add("PrfX", 3, _delta)          # [ref](p, g, e): ... in ref + sentence decode(e)
-_add("PrfSent", 3, _delta)       # (p, g, s): ... from the single sentence decode(s)
-_add("PrfSentX", 4, _delta)      # (p, g, s, e): ... from decode(s) and decode(e)
-_add("PrfMachX", 4, _delta)      # (p, g, y, e): ... over the machine-coded theory y + decode(e)
-_add("PrfIdx", 2, _delta)        # [ref](k, g): k-th canonical ref-proof concludes decode(g)
-_add("PrfEx", 2, _delta)         # [ref](k, a): decode(k) proves the E-closure of decode(a)
-_add("PrfSub", None, _delta)     # [ref](p, f, v1..vk): proof of decode(f) at numerals of vi
-_add("PrfGoal", None, _delta)    # [goalkind, thykind, ...](p, y, ...): meta-built goal
-
-# -- truth predicates ---------------------------------------------------------
-_add("TrueSigma", 1, _fixed_kind("Sigma", 0))   # [n](x)
-_add("TruePi", 1, _fixed_kind("Pi", 0))         # [n](x)
-_add("TrueSeqAt", 3, _level_class(0, 1))        # [kind,n](a, s, k): True of decode(a) at seq_at(s,k)
-_add("TrueClAt", 3, _level_class(0, 1))         # [kind,n](s, a, b): True of decode(s)(a, b)
-
-# -- class membership of codes ------------------------------------------------
-_add("InSigma", 1, _delta)       # [n](x)
-_add("InPi", 1, _delta)          # [n](x)
-
-# -- code-level functional graphs ----------------------------------------------
-_add("Diag", 3, _delta, graph_out=2)      # (z, i, y): y = diagonalization of z at var i
-_add("SeqAt", 3, _delta, graph_out=2)     # (s, k, w): w = k-th component of sequence s
-_add("MachIdx", 4, _delta, graph_out=3)   # [m](x, w, z, y): y = machine_index(x, w, z, m)
-_add("ConSliceAt", 3, _delta, graph_out=0)  # [m](x, n, z): x = code of mCon of slice n+1 of decode(z)
-_add("PadConAt", 4, _delta)      # [m](x, s, n, z): x = code of the s-fold conjunction of that mCon
-_add("SliceConj", 3, _delta)     # [{unary}](x, y, p): x = conj code over the unary-defined slice cut at y
-_add("RfnInst", 3, _delta)       # [baseref](x, n, z): x codes a reflection-schema instance
-_add("IterCon", 1, _delta)       # [m, ref](x): uniform iterated reflection at stage x
-
-# -- set-theory stub markers ----------------------------------------------------
-_add("ZfAx", 0, _delta)          # [i](): opaque axiom marker
+FAMILIES: dict[str, Family] = {
+    # -- provability / proof checking ---------------------------------------
+    "AxOf": Family(1, (REF,)),  # [ref](x): x codes an axiom of ref
+    "Prf": Family(2, (REF,)),  # [ref](p, g): decode(p) proves decode(g) in ref
+    "PrfX": Family(3, (REF,)),  # [ref](p, g, e): ... in ref + sentence decode(e)
+    "PrfSent": Family(3, ()),  # (p, g, s): ... from the single sentence decode(s)
+    "PrfSentX": Family(4, ()),  # (p, g, s, e): ... from decode(s) and decode(e)
+    "PrfMachX": Family(4, ()),  # (p, g, y, e): ... over the machine-coded theory y + decode(e)
+    "PrfIdx": Family(2, (REF,)),  # [ref](k, g): k-th canonical ref-proof concludes decode(g)
+    "PrfEx": Family(2, (REF,)),  # [ref](k, a): decode(k) proves the E-closure of decode(a)
+    "PrfSub": Family(2, (REF,), variadic=True),  # [ref](p, f, v1..vk): proof of decode(f) at numerals of vi
+    "PrfGoal": Family(2, (tuple(GOALS),), shapes=GOALS),  # [goal, thy, ...](p, y, ...)
+    # -- truth predicates ----------------------------------------------------
+    "TrueSigma": Family(1, (NAT,), ("Sigma", 0)),  # [n](x)
+    "TruePi": Family(1, (NAT,), ("Pi", 0)),  # [n](x)
+    "TrueSeqAt": Family(3, (KIND, NAT), (0, 1)),  # [kind,n](a, s, k): True of decode(a) at seq_at(s,k)
+    "TrueClAt": Family(3, (KIND, NAT), (0, 1)),  # [kind,n](s, a, b): True of decode(s)(a, b)
+    # -- class membership of codes -------------------------------------------
+    "InSigma": Family(1, (NAT,)),  # [n](x)
+    "InPi": Family(1, (NAT,)),  # [n](x)
+    # -- code-level functional graphs ----------------------------------------
+    "Diag": Family(3, (), graph_out=2),  # (z, i, y): y = diagonalization of z at var i
+    "SeqAt": Family(3, (), graph_out=2),  # (s, k, w): w = k-th component of sequence s
+    "MachIdx": Family(4, (NAT,), graph_out=3),  # [m](x, w, z, y): y = machine_index(x, w, z, m)
+    "ConSliceAt": Family(3, (NAT,), graph_out=0),  # [m](x, n, z): x = code of mCon of slice n+1 of decode(z)
+    "PadConAt": Family(4, (NAT,)),  # [m](x, s, n, z): x = code of the s-fold conjunction of that mCon
+    "SliceConj": Family(3, (FORMULA,)),  # [{unary}](x, y, p): x = conj code over the unary-defined slice cut at y
+    "RfnInst": Family(3, (REF,)),  # [baseref](x, n, z): x codes a reflection-schema instance
+    "IterCon": Family(1, (NAT, REF)),  # [m, ref](x): uniform iterated reflection at stage x
+    # -- set-theory stub markers ---------------------------------------------
+    "ZfAx": Family(0, (NAT,)),  # [i](): opaque axiom marker
+}
 
 
 def get_family(name: str) -> Family:
-    f = _FAMILIES.get(name)
+    f = FAMILIES.get(name)
     if f is None:
         raise KeyError(f"unknown designated atom {name!r}")
     return f
 
 
 def declared_class(name: str, params: tuple) -> tuple:
-    """(kind, level) declared for this atom instance."""
-    fam = get_family(name)
-    kind, level = fam.declared(params)
-    if kind not in ("Sigma", "Pi", "Delta"):
-        raise ValueError(f"bad declared kind for {name}: {kind}")
-    if not isinstance(level, int) or level < 0:
-        raise ValueError(f"bad declared level for {name}: {level}")
-    return kind, level
+    """(kind, level) declared for this atom instance, whose params were
+    checked against the signature when it was built."""
+    cls = get_family(name).cls
+    if cls is None:
+        return ("Delta", 0)
+    kind, level = cls
+    return (params[kind] if isinstance(kind, int) else kind, params[level])
 
 
 def families() -> dict[str, Family]:
-    return dict(_FAMILIES)
-
-
-def check_arity(name: str, nargs: int) -> None:
-    fam = get_family(name)
-    if fam.arity is not None and fam.arity != nargs:
-        raise ValueError(f"{name} expects {fam.arity} arguments, got {nargs}")
+    return dict(FAMILIES)

@@ -440,9 +440,6 @@ def bounded_proof_search(T: TheoryPresentation, goal: Formula, budget: int) -> O
 
 def _atom_value(f: DAtom, budget: int, env: dict) -> TV3:
     fam = registry.get_family(f.name)
-    registry.check_arity(f.name, len(f.args))
-    if fam.evaluator is None:
-        raise EvalError(f"no evaluator installed for {f.name}")
     try:
         argvals = [term_value_env(a, env) for a in f.args]
     except OverflowError:
@@ -482,9 +479,7 @@ def _graph_solve(fam, g: DAtom, v: int, env: dict):
     """The value of x_v that the functional-graph atom g (of family fam)
     forces, or None if no value satisfies g; _NOT_SOLVED if g's output
     argument is not x_v, another argument mentions v, or the solve fails."""
-    if fam.graph_out is None or fam.solver is None:
-        return _NOT_SOLVED
-    if fam.graph_out >= len(g.args) or g.args[fam.graph_out] != Var(v):
+    if fam.graph_out is None or fam.solver is None or g.args[fam.graph_out] != Var(v):
         return _NOT_SOLVED
     others = [a for i, a in enumerate(g.args) if i != fam.graph_out]
     if any(v in term_vars(a) for a in others):
@@ -720,17 +715,12 @@ def _eval_axof(params, args, budget) -> TV3:
     return axiom_membership(ref, f, budget)
 
 
-def _single(params):
-    (ref,) = params
-    return ref
-
-
 # The axioms of each plain Prf-family atom (p, g, extra...): a theory
 # reference or None, and the extra sentence codes, read off the params and
 # the arguments after (p, g).
 _PRF_AXIOMS = {
-    "Prf": lambda params, extra: (_single(params), ()),
-    "PrfX": lambda params, extra: (_single(params), extra),
+    "Prf": lambda params, extra: (params[0], ()),
+    "PrfX": lambda params, extra: (params[0], extra),
     "PrfSent": lambda params, extra: (None, extra),
     "PrfSentX": lambda params, extra: (None, extra),
     "PrfMachX": lambda params, extra: (refs.Mach(extra[0]), extra[1:]),
@@ -803,8 +793,6 @@ def _matches_numeral_subst(inst: Formula, base: Formula, fv: list[int], vals: li
 
 def _eval_prfsub(params, args, budget) -> TV3:
     (ref,) = params
-    if len(args) < 2:
-        return FALSE
     vals = list(args[2:])
 
     def goal_of(proof):
@@ -819,9 +807,6 @@ def _eval_prfsub(params, args, budget) -> TV3:
 
 def _eval_prfgoal(params, args, budget) -> TV3:
     goalkind, thykind = params[0], params[1]
-    if len(args) < 2:
-        return FALSE
-
     ncon = theories.ncon_machine_of if thykind == "idx" else theories.ncon_sent_of
 
     def goal_of(proof):
@@ -842,9 +827,7 @@ def _eval_prfgoal(params, args, budget) -> TV3:
             zv = 0
             t_atom = DAtom("TrueClAt", (kind, lvl), (code_literal(scode), code_literal(x + 1), Var(zv)))
             return All(zv, Imp(t_atom, ncon(m, Var(zv), 1)))
-        if goalkind == "connum":
-            return ncon(params[2], code_literal(args[2]), 0)
-        return FALSE
+        return ncon(params[2], code_literal(args[2]), 0)  # connum
 
     y = args[1]
     test = _axiom_test(None, budget, (y,)) if thykind == "sent" else _axiom_test(refs.Mach(y), budget)
@@ -852,12 +835,7 @@ def _eval_prfgoal(params, args, budget) -> TV3:
 
 
 def _eval_true(kind: str):
-    def ev(params, args, budget) -> TV3:
-        (n,) = params
-        (x,) = args
-        return eval_truth(ComplexityClass(kind, n), x, budget)
-
-    return ev
+    return lambda params, args, budget: eval_truth(ComplexityClass(kind, params[0]), args[0], budget)
 
 
 def _eval_trueseqat(params, args, budget) -> TV3:
@@ -878,12 +856,8 @@ def _eval_trueclat(params, args, budget) -> TV3:
 
 def _eval_inclass(kind: str):
     def ev(params, args, budget) -> TV3:
-        (n,) = params
-        (x,) = args
-        f = coding.try_decode_formula(x)
-        if f is None:
-            return FALSE
-        return from_bool(class_leq(classify(f), ComplexityClass(kind, n)))
+        f = coding.try_decode_formula(args[0])
+        return FALSE if f is None else from_bool(class_leq(classify(f), ComplexityClass(kind, params[0])))
 
     return ev
 
@@ -899,11 +873,6 @@ def _eval_diag(params, args, budget) -> TV3:
     z, i, y = args
     w = _diag_cached(z, i)
     return from_bool(w is not None and w == y)
-
-
-def _solve_diag(params, vals):
-    z, i = vals
-    return _diag_cached(z, i)
 
 
 def _eval_seqat(params, args, budget) -> TV3:
@@ -974,12 +943,6 @@ def _eval_consliceat(params, args, budget) -> TV3:
         return FALSE
     target = _mcon_slice_code(m, n, z)
     return from_bool(target is not None and x == target)
-
-
-def _solve_consliceat(params, vals):
-    (m,) = params
-    n, z = vals
-    return _mcon_slice_code(m, n, z)
 
 
 def _eval_padconat(params, args, budget) -> TV3:
@@ -1079,40 +1042,32 @@ def _eval_rfninst(params, args, budget) -> TV3:
     return from_bool(f == expected)
 
 
-def _eval_zfax(params, args, budget) -> TV3:
-    return UNKNOWN
-
-
-def _install() -> None:
-    reg = registry.get_family
-    reg("AxOf").evaluator = _eval_axof
-    for name in _PRF_AXIOMS:
-        reg(name).evaluator = _eval_prf_family(name)
-    reg("PrfIdx").evaluator = _eval_prfidx
-    reg("PrfEx").evaluator = _eval_prfex
-    reg("PrfSub").evaluator = _eval_prfsub
-    reg("PrfGoal").evaluator = _eval_prfgoal
-    reg("TrueSigma").evaluator = _eval_true("Sigma")
-    reg("TruePi").evaluator = _eval_true("Pi")
-    reg("TrueSeqAt").evaluator = _eval_trueseqat
-    reg("TrueClAt").evaluator = _eval_trueclat
-    reg("InSigma").evaluator = _eval_inclass("Sigma")
-    reg("InPi").evaluator = _eval_inclass("Pi")
-    reg("Diag").evaluator = _eval_diag
-    reg("Diag").solver = _solve_diag
-    reg("SeqAt").evaluator = _eval_seqat
-    reg("SeqAt").solver = _solve_seqat
-    reg("MachIdx").evaluator = _eval_machidx
-    reg("MachIdx").solver = _solve_machidx
-    reg("MachIdx").suggester = _suggest_machidx
-    reg("ConSliceAt").evaluator = _eval_consliceat
-    reg("ConSliceAt").solver = _solve_consliceat
-    reg("PadConAt").evaluator = _eval_padconat
-    reg("PadConAt").suggester = _suggest_padconat
-    reg("SliceConj").evaluator = _eval_sliceconj
-    reg("IterCon").evaluator = _eval_itercon
-    reg("RfnInst").evaluator = _eval_rfninst
-    reg("ZfAx").evaluator = _eval_zfax
-
-
-_install()
+# name: (evaluator, solver, suggester), installed into the registry, whose
+# slots are read at call time
+_BEHAVIOUR = {
+    "AxOf": (_eval_axof, None, None),
+    **{name: (_eval_prf_family(name), None, None) for name in _PRF_AXIOMS},
+    "PrfIdx": (_eval_prfidx, None, None),
+    "PrfEx": (_eval_prfex, None, None),
+    "PrfSub": (_eval_prfsub, None, None),
+    "PrfGoal": (_eval_prfgoal, None, None),
+    "TrueSigma": (_eval_true("Sigma"), None, None),
+    "TruePi": (_eval_true("Pi"), None, None),
+    "TrueSeqAt": (_eval_trueseqat, None, None),
+    "TrueClAt": (_eval_trueclat, None, None),
+    "InSigma": (_eval_inclass("Sigma"), None, None),
+    "InPi": (_eval_inclass("Pi"), None, None),
+    "Diag": (_eval_diag, lambda params, vals: _diag_cached(*vals), None),
+    "SeqAt": (_eval_seqat, _solve_seqat, None),
+    "MachIdx": (_eval_machidx, _solve_machidx, _suggest_machidx),
+    "ConSliceAt": (_eval_consliceat, lambda params, vals: _mcon_slice_code(params[0], *vals), None),
+    "PadConAt": (_eval_padconat, None, _suggest_padconat),
+    "SliceConj": (_eval_sliceconj, None, None),
+    "IterCon": (_eval_itercon, None, None),
+    "RfnInst": (_eval_rfninst, None, None),
+    "ZfAx": (lambda params, args, budget: UNKNOWN, None, None),
+}
+assert _BEHAVIOUR.keys() == registry.FAMILIES.keys()
+for _name, (_ev, _solve, _suggest) in _BEHAVIOUR.items():
+    _fam = registry.FAMILIES[_name]
+    _fam.evaluator, _fam.solver, _fam.suggester = _ev, _solve, _suggest

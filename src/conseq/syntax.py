@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import registry
 from .refs import Ref, ref_from_parts
 
 
@@ -177,7 +178,9 @@ class DAtom(Formula):
     """Designated atom: a registered predicate with parameters and term args.
 
     Parameters are naturals, identifiers, theory references (see refs) or
-    whole formulas and terms; they are hashed and compared structurally."""
+    whole formulas and terms; they are hashed and compared structurally.  An
+    atom of a registered name must match its family's declaration (see
+    registry), else construction raises ValueError."""
 
     name: str
     params: tuple
@@ -186,6 +189,9 @@ class DAtom(Formula):
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "args", tuple(self.args))
+        fam = registry.FAMILIES.get(self.name)
+        if fam is not None:
+            _check_atom(self, fam)
         Node.__post_init__(self)
 
     def _children(self):
@@ -193,6 +199,33 @@ class DAtom(Formula):
 
     def _leaf_key(self):
         return (self.name, self.params)
+
+
+# what each parameter type of a registry signature admits
+_ADMITS = {
+    registry.NAT: lambda x: type(x) is int and x >= 0,
+    registry.STR: lambda x: isinstance(x, str),
+    registry.REF: lambda x: isinstance(x, (str, Ref)),
+    registry.FORMULA: lambda x: isinstance(x, Formula),
+}
+
+
+def _check_atom(a: DAtom, fam: registry.Family) -> None:
+    """Raise ValueError unless a's params and argument count match fam's
+    declaration (for PrfGoal, the declaration of its goal shape)."""
+    p, n = a.params, len(a.args)
+    if fam.shapes is not None and p and isinstance(p[0], str):
+        fam = fam.shapes.get(p[0], fam)
+    for i, typ in enumerate(fam.params):
+        x = p[i] if i < len(p) else None
+        if x is None or not (isinstance(x, str) and x in typ if isinstance(typ, tuple) else _ADMITS[typ](x)):
+            what = f"one of {', '.join(typ)}" if isinstance(typ, tuple) else typ
+            got = "none" if x is None else repr(x) if isinstance(x, (int, str)) else type(x).__name__
+            raise ValueError(f"{a.name} parameter {i} must be {what}, got {got}")
+    if len(p) > len(fam.params):
+        raise ValueError(f"{a.name} takes {len(fam.params)} params, got {len(p)}")
+    if n < fam.arity or (n > fam.arity and not fam.variadic):
+        raise ValueError(f"{a.name} takes {fam.arity}{' or more' if fam.variadic else ''} args, got {n}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -542,8 +542,8 @@ def resolve_ref(ref: refs.Ref) -> TheoryPresentation:
         return standard_theory(ref.name)
     if isinstance(ref, refs.Ext):
         base = resolve_ref(ref.base)
-        phi = coding.decode(ref.code)
-        if not isinstance(phi, Formula):
+        phi = coding.try_decode_formula(ref.code)
+        if phi is None:
             raise TheoryError("extension code is not a formula")
         return extend(base, phi)
     if isinstance(ref, refs.MOmega):

@@ -1,8 +1,11 @@
 import io
 
-from conseq import theories
+import pytest
+
+from conseq import coding, theories
 from conseq.cli import run
-from conseq.syntax import code_literal, print_formula, print_term
+from conseq.semantics import Proof, Step, encode_proof
+from conseq.syntax import code_literal, parse_formula, print_formula, print_term
 
 
 def _run(argv):
@@ -160,7 +163,46 @@ def test_atom_on_a_code_with_a_name_that_is_not_utf8_is_false():
 
 
 def test_class_level_that_is_not_an_int_is_a_domain_error():
-    assert _run(["eval", "--budget", "3", "TrueSigma[x](0)"]) == (1, "error: class level 'x' is not an int\n")
+    assert _run(["eval", "--budget", "3", "TrueSigma[x](0)"]) == (1, "error: TrueSigma parameter 0 must be a natural, got 'x'\n")
+
+
+_EQ = parse_formula("0=0")
+_EQ_LIT = print_term(code_literal(coding.encode(_EQ)))
+_PROOF_LIT = print_term(code_literal(encode_proof(Proof((Step(_EQ, ("logical", "EQ-REFL")),)))))
+MALFORMED_ATOMS = [
+    "InSigma[x](0)",
+    "MachIdx[x](0,0,0,0)",
+    "PadConAt[x](0,0,0,0)",
+    "ConSliceAt[x](0,0,0)",
+    "ZfAx[x]()",
+    "IterCon[x,PA](0)",
+    f"PrfIdx[3](0,{_EQ_LIT})",
+    f"SliceConj[3](0,0,{_EQ_LIT})",
+    "PrfGoal(0,0)",
+    f"PrfGoal[inhab,sent]({_PROOF_LIT},0)",
+]
+
+
+@pytest.mark.parametrize("cmd", [["classify"], ["eval", "--budget", "3"]], ids=["classify", "eval"])
+@pytest.mark.parametrize("atom", MALFORMED_ATOMS, ids=[a.split("(")[0] for a in MALFORMED_ATOMS])
+def test_malformed_registered_atom_is_a_domain_error(cmd, atom):
+    code, text = _run(cmd + [atom])
+    assert code == 1 and text.startswith("error: ") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["craig", "--base", "Q", "--count", "-2"],
+        ["fixpoint", "x1=0", "--hole", "1", "--verify", "-5"],
+        ["seq", "slice", "spec.json", "--n", "0", "--bound", "-3", "--budget", "10"],
+        ["seq", "slice", "spec.json", "--n", "-1", "--bound", "3", "--budget", "10"],
+        ["seq", "index-of", "spec.json", "--n", "-1", "--budget", "10"],
+    ],
+    ids=["craig-count", "fixpoint-verify", "slice-bound", "slice-n", "index-of-n"],
+)
+def test_negative_count_is_a_usage_error(argv):
+    assert _run(argv) == (2, "")
 
 
 def test_craig_count_past_a_finite_base_is_a_domain_error():

@@ -74,7 +74,7 @@ GOLDEN_CODES = [
     ("ball", BAll(0, _x1, _eq), 0x5A1900020110020001),
     ("bex", BEx(2, Add(_x0, _x1), _eq), 0x5A1A02040200020110020001),
     ("param-nat", DAtom("InSigma", (70000,), (_x0,)), 0x5A1207496E5369676D61012003011170010200),
-    ("param-str", DAtom("TrueSigma", ("Sigma", 1), (_x0,)), 0x5A1209547275655369676D610221055369676D61200101010200),
+    ("param-str", DAtom("TrueSeqAt", ("Sigma", 1), (_x0, _one, _x1)), 0x5A12095472756553657141740221055369676D6120010103020003010201),
     ("param-ref", DAtom("Prf", (refs.Ext(refs.Named("EA"), 5),), (_x0, _x1)), 0x5A12035072660122020102454101050202000201),
     ("param-formula", DAtom("F", (All(1, _eq),), ()), 0x5A120146012317011002000100),
     ("param-term", DAtom("F", (Mul(_x0, _one),), (ZERO,)), 0x5A120146012405020003010101),
@@ -150,6 +150,21 @@ def test_decode_is_partial_not_junk_tolerant():
     c = encode(parse_formula("0=0"))
     with pytest.raises(NotACode):
         decode(c + 1)
+
+
+# Atoms of registered names that their declarations reject: TrueSigma with
+# the params ("Sigma", 1), and InSigma[1] with no argument.
+MALFORMED_ATOMS = [
+    ("truesigma-str-level", 0x5A1209547275655369676D610221055369676D61200101010200),
+    ("insigma-no-arg", 0x5A1207496E5369676D610120010100),
+]
+
+
+@pytest.mark.parametrize("code", [m[1] for m in MALFORMED_ATOMS], ids=[m[0] for m in MALFORMED_ATOMS])
+def test_malformed_registered_atom_is_a_non_code(code):
+    with pytest.raises(NotACode):
+        decode(code)
+    assert try_decode_formula(code) is None
 
 
 # A name or string that is not UTF-8: an atom name, a string parameter and a

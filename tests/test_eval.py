@@ -432,7 +432,6 @@ def _verdict_cases():
         ("goal-connum-sent-false", atom("PrfGoal", ("connum", "sent", 2), (axiom_proof(connum_goal), enc(connum_goal), gb)), F),
         ("goal-connum-idx", atom("PrfGoal", ("connum", "idx", 2), (axiom_proof(connum_goal), y, ga)), F),
         ("goal-connum-noncode", atom("PrfGoal", ("connum", "idx", 2), (junk, y, ga)), F),
-        ("goal-unknown-kind", atom("PrfGoal", ("bogus", "sent"), (pb, gb)), F),
         # TrueSigma[n](x) / TruePi[n](x): sentences only
         ("truesigma-true", atom("TrueSigma", (1,), (enc(ex_goal),)), T),
         ("truesigma-false", atom("TrueSigma", (1,), (enc(falsum()),)), F),
@@ -491,7 +490,21 @@ def test_every_family_has_an_evaluator():
     assert all(fam.evaluator is not None for fam in registry.families().values())
 
 
-def test_prfgoal_without_a_theory_argument_is_false():
-    p = encode_proof(Proof((Step(parse_formula("0=0"), ("axiom",)),)))
-    atom = DAtom("PrfGoal", ("marker", "sent", "BSigma1"), (code_literal(p),))
-    assert eval_formula(atom, 20) == FALSE
+@pytest.mark.parametrize(
+    "params,nargs",
+    [(("bogus", "sent"), 2), (("marker", "sent", "BSigma1"), 1)],
+    ids=["goal-unknown-kind", "without-a-theory-argument"],
+)
+def test_malformed_prfgoal_is_rejected(params, nargs):
+    import io
+
+    from conseq.cli import run
+    from conseq.syntax import print_term
+
+    b = parse_formula("0<=0")
+    args = tuple(code_literal(v) for v in (encode_proof(Proof((Step(b, ("axiom",)),))), coding.encode(b))[:nargs])
+    with pytest.raises(ValueError):
+        DAtom("PrfGoal", params, args)
+    out = io.StringIO()
+    text = f"PrfGoal[{','.join(params)}]({','.join(map(print_term, args))})"
+    assert run(["eval", "--budget", "20", text], out) == 1 and out.getvalue().startswith("error: PrfGoal ")

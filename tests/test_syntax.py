@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conseq import refs
+from conseq import refs, registry
 from conseq.coding import decode, encode
 from conseq.gen import random_formula, random_term
 from conseq.syntax import (
@@ -289,6 +289,59 @@ def test_equality_agrees_with_codes(seed, depth):
     back = decode(encode(f))
     assert back == f and hash(back) == hash(f)
     assert parse_formula(print_formula(f)) == f
+
+
+_ADMITTED = {
+    registry.NAT: st.integers(min_value=0, max_value=2**70),
+    registry.STR: st.sampled_from(["EA", "x"]),
+    registry.REF: st.sampled_from(["EA", refs.Ext(refs.Named("EA"), 5)]),
+    registry.FORMULA: st.just(parse_formula("x0=0")),
+}
+_DECLARED = st.one_of(
+    [
+        st.tuples(
+            st.just(name),
+            st.tuples(*(st.sampled_from(t) if isinstance(t, tuple) else _ADMITTED[t] for t in decl.params)),
+            st.just(decl.arity),
+        )
+        for name, fam in registry.FAMILIES.items()
+        for decl in (fam.shapes or {None: fam}).values()
+    ]
+)
+_ARBITRARY = st.tuples(
+    st.sampled_from(sorted(registry.FAMILIES)),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-2, max_value=2**70),
+            st.sampled_from(["Sigma", "Pi", "Delta", "idx", "sent", "marker", "inhab", "refl", "connum", "EA"]),
+            st.text(max_size=3),
+            st.just(parse_formula("x0=0")),
+            st.just(refs.Ext(refs.Named("EA"), 5)),
+        ),
+        max_size=5,
+    ).map(tuple),
+    st.integers(min_value=0, max_value=5),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_ARBITRARY, _DECLARED))
+def test_registered_atom_is_checked_where_it_is_built(atom):
+    """Any params and argument count of a registered family: construction
+    rejects them, or the atom classifies and evaluates to a verdict."""
+    from conseq.hierarchy import classify
+    from conseq.semantics import TV3, EvalError, eval_formula
+
+    name, params, nargs = atom
+    try:
+        a = DAtom(name, params, (ZERO,) * nargs)
+    except ValueError:
+        return
+    classify(a)
+    try:
+        assert isinstance(eval_formula(a, 2), TV3)
+    except EvalError:
+        pass
 
 
 def test_reference_params_print_and_parse_back():
