@@ -218,7 +218,7 @@ def _check_atom(a: DAtom, fam: registry.Family) -> None:
         fam = fam.shapes.get(p[0], fam)
     for i, typ in enumerate(fam.params):
         x = p[i] if i < len(p) else None
-        if x is None or not (isinstance(x, str) and x in typ if isinstance(typ, tuple) else _ADMITS[typ](x)):
+        if x is None or not ((isinstance(x, str) and x in typ) if isinstance(typ, tuple) else _ADMITS[typ](x)):
             what = f"one of {', '.join(typ)}" if isinstance(typ, tuple) else typ
             got = "none" if x is None else repr(x) if isinstance(x, (int, str)) else type(x).__name__
             raise ValueError(f"{a.name} parameter {i} must be {what}, got {got}")
