@@ -33,7 +33,6 @@ from .semantics import (
     TRUE,
     TV3,
     UNKNOWN,
-    bounded_proof_search,
     check_proof,
     decode_proof,
     encode_proof,
@@ -82,7 +81,6 @@ from .theories import (
     pr_formula,
     prf_formula,
     rfn_gamma_formula,
-    rfn_schema_instance,
     standard_theory,
     truth_predicate,
 )

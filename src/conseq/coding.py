@@ -39,6 +39,7 @@ from .syntax import (
     Zero,
     ZERO,
     numeral,
+    parse_formula,
     substitute,
     free_vars,
 )
@@ -496,20 +497,60 @@ class Proof:
         return self.steps[-1].formula
 
 
-SCHEMES = (
-    "K",
-    "S",
-    "CONTRA",
-    "AND-E1",
-    "AND-E2",
-    "AND-I",
-    "OR-I1",
-    "OR-I2",
-    "OR-E",
-    "ALL-E",
-    "ALL-DIST",
-    "EQ-REFL",
+# The logical schemes in code order: a "logical" step codes its scheme's
+# index here.  Each shape is written in the printer's syntax over the formula
+# metavariables P(), Q(), R() and, in EQ-REFL, the term metavariable x0.
+# ALL-E and ALL-DIST have side conditions, so semantics.match_scheme checks
+# them and they have no pattern.
+_SCHEME_SHAPES = (
+    ("K", r"(P()->(Q()->P()))"),
+    ("S", r"((P()->(Q()->R()))->((P()->Q())->(P()->R())))"),
+    ("CONTRA", r"((~P()->~Q())->(Q()->P()))"),
+    ("AND-E1", r"((P()/\Q())->P())"),
+    ("AND-E2", r"((P()/\Q())->Q())"),
+    ("AND-I", r"(P()->(Q()->(P()/\Q())))"),
+    ("OR-I1", r"(P()->(P()\/Q()))"),
+    ("OR-I2", r"(P()->(Q()\/P()))"),
+    ("OR-E", r"((P()->R())->((Q()->R())->((P()\/Q())->R())))"),
+    ("ALL-E", None),
+    ("ALL-DIST", None),
+    ("EQ-REFL", r"x0=x0"),
 )
+SCHEMES = tuple(name for name, _ in _SCHEME_SHAPES)
+SCHEME_PATTERNS = {name: parse_formula(text) for name, text in _SCHEME_SHAPES if text}
+# metavariable -> its position in the parts of scheme_instance
+_METAVARS = {Var(0): 0, **{DAtom(name, (), ()): i for i, name in enumerate("PQR")}}
+
+
+def scheme_instance(scheme: str, *parts) -> Formula:
+    """The scheme's pattern with P(), Q(), R() (or x0) replaced by parts, in
+    that order."""
+
+    def fill(p):
+        i = _METAVARS.get(p)
+        return parts[i] if i is not None else type(p)(*map(fill, p._children()))
+
+    return fill(SCHEME_PATTERNS[scheme])
+
+
+def is_scheme_instance(scheme: str, f) -> bool:
+    """Whether f fills the scheme's pattern: a metavariable binds the node at
+    its first occurrence and must equal it at every later one; any other
+    pattern node needs a node of its type.  The walk follows the pattern, so
+    its depth is the pattern's, not f's."""
+    bound: list = [None] * 3
+
+    def match(p, g) -> bool:
+        i = _METAVARS.get(p)
+        if i is not None:
+            if bound[i] is None:
+                bound[i] = g
+                return True
+            return bound[i] == g
+        return type(p) is type(g) and all(map(match, p._children(), g._children()))
+
+    return match(SCHEME_PATTERNS[scheme], f)
+
 
 # justification kind -> (tag, number of arguments).  Each argument is coded as
 # a varint: a step index, or for "logical" the scheme's index in SCHEMES.

@@ -11,7 +11,7 @@ conjunction introduction/elimination.
 from __future__ import annotations
 
 from . import coding, refs
-from .coding import Proof, Step
+from .coding import Proof, Step, scheme_instance
 from .syntax import And, DAtom, Formula, Imp, Var, free_vars
 from .theories import TheoryPresentation
 
@@ -91,13 +91,13 @@ def craig_member(base: TheoryPresentation, f: Formula) -> bool:
 def _self_implication_steps(a: Formula) -> list:
     """The classic 5-step derivation of a -> a from K and S."""
     aa = Imp(a, a)
-    k1 = Imp(a, Imp(aa, a))
-    s1 = Imp(k1, Imp(Imp(a, aa), aa))
-    k2 = Imp(a, aa)
+    k1 = scheme_instance("K", a, aa)
+    s1 = scheme_instance("S", a, aa, a)
+    k2 = scheme_instance("K", a, a)
     return [
         Step(k1, ("logical", "K")),
         Step(s1, ("logical", "S")),
-        Step(Imp(k2, aa), ("mp", 1, 0)),
+        Step(s1.right, ("mp", 1, 0)),
         Step(k2, ("logical", "K")),
         Step(aa, ("mp", 2, 3)),
     ]
@@ -108,7 +108,7 @@ def padded_to_source_proof(phi: Formula, s: int):
     if s == 1:
         return Proof(tuple(_self_implication_steps(phi)))
     pad = pad_conjunction(phi, s)
-    return Proof((Step(Imp(pad, phi), ("logical", "AND-E1")),))
+    return Proof((Step(scheme_instance("AND-E1", phi, pad.right), ("logical", "AND-E1")),))
 
 
 def source_to_padded_proof(phi: Formula, s: int):
@@ -119,11 +119,11 @@ def source_to_padded_proof(phi: Formula, s: int):
     cur = phi
     for _ in range(s - 1):
         nxt = And(phi, cur)
-        andi = Imp(phi, Imp(cur, nxt))  # AND-I
-        s_ax = Imp(andi, Imp(have, Imp(phi, nxt)))  # S instance
+        andi = scheme_instance("AND-I", phi, cur)  # phi -> (cur -> nxt)
+        s_ax = scheme_instance("S", phi, cur, nxt)  # andi -> (have -> (phi -> nxt))
         steps.append(Step(andi, ("logical", "AND-I")))
         steps.append(Step(s_ax, ("logical", "S")))
-        steps.append(Step(Imp(have, Imp(phi, nxt)), ("mp", len(steps) - 1, len(steps) - 2)))
+        steps.append(Step(s_ax.right, ("mp", len(steps) - 1, len(steps) - 2)))
         steps.append(Step(Imp(phi, nxt), ("mp", len(steps) - 1, _index_of(steps, have))))
         have = Imp(phi, nxt)
         cur = nxt

@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Callable, Optional, Union
 
 from . import coding, craig, refs, registry, theories
-from .coding import JUSTIFICATIONS, SCHEMES, Proof, Step, decode_proof, encode_proof  # noqa: F401 (re-exported)
+from .coding import JUSTIFICATIONS, SCHEME_PATTERNS, SCHEMES, Proof, Step, decode_proof, encode_proof  # noqa: F401 (re-exported)
 from .hierarchy import ComplexityClass, class_leq, classify
 from .syntax import (
     VALUE_BIT_CAP,
@@ -159,68 +159,16 @@ def _infer_witness(body: Formula, v: int, instance: Formula) -> Optional[Term]:
 
 
 def match_scheme(scheme: str, f: Formula) -> bool:
-    """Deterministic per-scheme verification."""
-    if scheme == "K":
-        return (
-            isinstance(f, Imp)
-            and isinstance(f.right, Imp)
-            and f.right.right == f.left
-        )
-    if scheme == "S":
-        if not (isinstance(f, Imp) and isinstance(f.left, Imp) and isinstance(f.left.right, Imp)):
-            return False
-        a, b, c = f.left.left, f.left.right.left, f.left.right.right
-        r = f.right
-        return (
-            isinstance(r, Imp)
-            and r.left == Imp(a, b)
-            and r.right == Imp(a, c)
-        )
-    if scheme == "CONTRA":
-        return (
-            isinstance(f, Imp)
-            and isinstance(f.left, Imp)
-            and isinstance(f.left.left, Not)
-            and isinstance(f.left.right, Not)
-            and f.right == Imp(f.left.right.arg, f.left.left.arg)
-        )
-    if scheme == "AND-E1":
-        return isinstance(f, Imp) and isinstance(f.left, And) and f.left.left == f.right
-    if scheme == "AND-E2":
-        return isinstance(f, Imp) and isinstance(f.left, And) and f.left.right == f.right
-    if scheme == "AND-I":
-        return (
-            isinstance(f, Imp)
-            and isinstance(f.right, Imp)
-            and f.right.right == And(f.left, f.right.left)
-        )
-    if scheme == "OR-I1":
-        return isinstance(f, Imp) and isinstance(f.right, Or) and f.right.left == f.left
-    if scheme == "OR-I2":
-        return isinstance(f, Imp) and isinstance(f.right, Or) and f.right.right == f.left
-    if scheme == "OR-E":
-        if not (isinstance(f, Imp) and isinstance(f.left, Imp)):
-            return False
-        a, c = f.left.left, f.left.right
-        r = f.right
-        return (
-            isinstance(r, Imp)
-            and isinstance(r.left, Imp)
-            and r.left.right == c
-            and r.right == Imp(Or(a, r.left.left), c)
-        )
+    """Whether f is an instance of the named logical scheme: one matcher for
+    the declared patterns, and the side conditions of ALL-E and ALL-DIST."""
+    if scheme in SCHEME_PATTERNS:
+        return coding.is_scheme_instance(scheme, f)
+    if not (isinstance(f, Imp) and isinstance(f.left, All)):
+        return False
     if scheme == "ALL-E":
-        if not (isinstance(f, Imp) and isinstance(f.left, All)):
-            return False
         return _infer_witness(f.left.body, f.left.var, f.right) is not None
     if scheme == "ALL-DIST":
-        if not (
-            isinstance(f, Imp)
-            and isinstance(f.left, All)
-            and isinstance(f.left.body, Imp)
-            and isinstance(f.right, Imp)
-            and isinstance(f.right.right, All)
-        ):
+        if not (isinstance(f.left.body, Imp) and isinstance(f.right, Imp) and isinstance(f.right.right, All)):
             return False
         v = f.left.var
         return (
@@ -229,16 +177,7 @@ def match_scheme(scheme: str, f: Formula) -> bool:
             and f.left.body.right == f.right.right.body
             and v not in free_vars(f.right.left)
         )
-    if scheme == "EQ-REFL":
-        return isinstance(f, EqAtom) and f.left == f.right
     return False
-
-
-def is_logical_axiom(f: Formula) -> Optional[str]:
-    for s in SCHEMES:
-        if match_scheme(s, f):
-            return s
-    return None
 
 
 AxiomTest = Callable[[Formula], TV3]
@@ -374,21 +313,18 @@ def proof_from_text(text: str) -> Proof:
 
 
 # ---------------------------------------------------------------------------
-# Canonical proof stream (PrfIdx) and bounded search
+# Canonical proof stream (PrfIdx)
 
 
 def logical_instance(i: int) -> tuple[Formula, str]:
-    shape = i % 4
+    """The i-th logical step of the canonical proof stream: its formula and
+    scheme, cycling through EQ-REFL, K, AND-E1 and OR-I1."""
     k = i // 4
-    a = EqAtom(numeral(k % 3), numeral(k % 3))
-    b = LeAtom(ZERO, numeral(k % 5))
-    if shape == 0:
-        return EqAtom(numeral(k), numeral(k)), "EQ-REFL"
-    if shape == 1:
-        return Imp(a, Imp(b, a)), "K"
-    if shape == 2:
-        return Imp(And(a, b), a), "AND-E1"
-    return Imp(a, Or(a, b)), "OR-I1"
+    scheme = ("EQ-REFL", "K", "AND-E1", "OR-I1")[i % 4]
+    if scheme == "EQ-REFL":
+        return coding.scheme_instance(scheme, numeral(k)), scheme
+    a = coding.scheme_instance("EQ-REFL", numeral(k % 3))
+    return coding.scheme_instance(scheme, a, LeAtom(ZERO, numeral(k % 5))), scheme
 
 
 def canonical_proof(ref, k: int) -> Proof:
@@ -406,32 +342,6 @@ def canonical_proof(ref, k: int) -> Proof:
         return Proof((Step(f, ("logical", s)),))
     f, s = logical_instance(k // 2)
     return Proof((Step(f, ("logical", s)),))
-
-
-def bounded_proof_search(T: TheoryPresentation, goal: Formula, budget: int) -> Optional[Proof]:
-    """Tiny sound search: axiom, logical instance, or one modus-ponens step
-    from an enumerated implication axiom.  None means not-found-within-budget."""
-    test = _axiom_test(T, 64)
-    if test(goal).is_true():
-        p = Proof((Step(goal, ("axiom",)),))
-        return p
-    s = is_logical_axiom(goal)
-    if s is not None:
-        return Proof((Step(goal, ("logical", s)),))
-    limit = budget if T.finite_size is None else min(budget, T.finite_size)
-    for i in range(limit):
-        try:
-            ax = T.enumerator(i)
-        except (IndexError, StopIteration):
-            break
-        if isinstance(ax, Imp) and ax.right == goal:
-            prem = ax.left
-            if test(prem).is_true():
-                return Proof((Step(prem, ("axiom",)), Step(ax, ("axiom",)), Step(goal, ("mp", 1, 0))))
-            ps = is_logical_axiom(prem)
-            if ps is not None:
-                return Proof((Step(prem, ("logical", ps)), Step(ax, ("axiom",)), Step(goal, ("mp", 1, 0))))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +721,10 @@ def _eval_prfgoal(params, args, budget) -> TV3:
 
     def goal_of(proof):
         if goalkind == "marker":
-            return theories.marker_sentence(params[2])
+            try:
+                return theories.marker_sentence(params[2])
+            except theories.TheoryError:  # not a theory name, as for Prf[ref]
+                return FALSE
         if goalkind == "inhab":
             scode, x = args[2], args[3]
             if x > 100_000:

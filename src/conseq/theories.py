@@ -352,12 +352,9 @@ def rfn_gamma_formula(gamma: ComplexityClass, T: TheoryPresentation) -> Formula:
     return All(0, Imp(guard, DAtom(tname, (gamma.level,), (phi,))))
 
 
-def rfn_schema_instance(T: TheoryPresentation, phi: Formula) -> Formula:
-    """A x-vec (Pr_T(code of phi at numerals of x-vec) -> phi)."""
-    return rfn_instance_for_ref(T.ref, phi)
-
-
 def rfn_instance_for_ref(ref: refs.Ref, phi: Formula) -> Formula:
+    """A x-vec (Pr_T(code of phi at numerals of x-vec) -> phi) for the theory
+    T that ref names."""
     fv = sorted(free_vars(phi))
     p = max(max_var(phi) + 1, max(fv, default=-1) + 1)
     code_lit = code_literal(coding.encode(phi))

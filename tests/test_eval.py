@@ -14,7 +14,6 @@ from conseq.semantics import (
     EvalError,
     Proof,
     Step,
-    bounded_proof_search,
     check_proof,
     decode_proof,
     encode_proof,
@@ -294,22 +293,6 @@ def test_eval_prf_on_junk():
     assert eval_prf(q, 12345, 67890) == FALSE
 
 
-def test_bounded_proof_search():
-    q = standard_theory("Q")
-    ax = q.enumerator(0)
-    p = bounded_proof_search(q, ax, 16)
-    assert p is not None and check_proof(q, p, ax)
-    # one modus-ponens step away: extend Q by an implication axiom
-    from conseq.theories import extend
-
-    imp_ax = Imp(parse_formula("0=0"), parse_formula("0<=0"))
-    qe = extend(q, imp_ax)
-    p2 = bounded_proof_search(qe, parse_formula("0<=0"), 16)
-    assert p2 is not None and check_proof(qe, p2, parse_formula("0<=0"))
-    # hopeless goal stays unfound
-    assert bounded_proof_search(q, parse_formula("0=S(0)"), 16) is None
-
-
 # ---------------------------------------------------------------------------
 # Pinned verdicts of the proof and truth atoms, evaluated end to end with
 # every argument written as a code literal, and of quantifiers guarded by a
@@ -417,6 +400,7 @@ def _verdict_cases():
         ("goal-marker-idx", atom("PrfGoal", ("marker", "idx", "BSigma1"), (axiom_proof(marker), y)), T),
         ("goal-marker-idx-false", atom("PrfGoal", ("marker", "idx", "BSigma1"), (axiom_proof(marker), 7)), F),
         ("goal-marker-noncode", atom("PrfGoal", ("marker", "idx", "BSigma1"), (junk, y)), F),
+        ("goal-marker-unknown-theory", atom("PrfGoal", ("marker", "sent", "Foo"), (pb, gb)), F),
         ("goal-inhab-sent", atom("PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 2)), T),
         ("goal-inhab-sent-false", atom("PrfGoal", ("inhab", "sent"), (axiom_proof(inhab_goal), enc(inhab_goal), enc(sig2), 1)), F),
         ("goal-inhab-idx", atom("PrfGoal", ("inhab", "idx"), (axiom_proof(inhab_goal), y, enc(sig2), 2)), F),

@@ -32,7 +32,7 @@ from conseq.theories import (
     prf_formula,
     resolve_ref,
     rfn_gamma_formula,
-    rfn_schema_instance,
+    rfn_instance_for_ref,
     standard_theory,
     truth_predicate,
 )
@@ -184,13 +184,13 @@ def coding_falsum_literal():
 def test_rfn_schema_instance_closed_and_open():
     ea = standard_theory("EA")
     phi = parse_formula("0=0")
-    inst = rfn_schema_instance(ea, phi)
+    inst = rfn_instance_for_ref(ea.ref, phi)
     assert isinstance(inst, Imp)
     assert isinstance(inst.left, Ex)
     assert inst.right == phi
 
     psi = parse_formula("x0<=(x0+x1)")
-    inst2 = rfn_schema_instance(ea, psi)
+    inst2 = rfn_instance_for_ref(ea.ref, psi)
     assert free_vars(inst2) == frozenset()
     assert isinstance(inst2, All) and isinstance(inst2.body, All)
     # evaluation agreement at sample points: Pr-part is undecided-false-ish,
