@@ -518,7 +518,8 @@ _SCHEME_SHAPES = (
 )
 SCHEMES = tuple(name for name, _ in _SCHEME_SHAPES)
 SCHEME_PATTERNS = {name: parse_formula(text) for name, text in _SCHEME_SHAPES if text}
-# metavariable -> its position in the parts of scheme_instance
+# metavariable -> its position in the parts of scheme_instance, and its key
+# in the binding of is_scheme_instance
 _METAVARS = {Var(0): 0, **{DAtom(name, (), ()): i for i, name in enumerate("PQR")}}
 
 
@@ -538,15 +539,12 @@ def is_scheme_instance(scheme: str, f) -> bool:
     its first occurrence and must equal it at every later one; any other
     pattern node needs a node of its type.  The walk follows the pattern, so
     its depth is the pattern's, not f's."""
-    bound: list = [None] * 3
+    bound: dict = {}
 
     def match(p, g) -> bool:
         i = _METAVARS.get(p)
         if i is not None:
-            if bound[i] is None:
-                bound[i] = g
-                return True
-            return bound[i] == g
+            return bound.setdefault(i, g) == g
         return type(p) is type(g) and all(map(match, p._children(), g._children()))
 
     return match(SCHEME_PATTERNS[scheme], f)
