@@ -534,7 +534,7 @@ def scheme_instance(scheme: str, *parts) -> Formula:
     return fill(SCHEME_PATTERNS[scheme])
 
 
-def is_scheme_instance(scheme: str, f) -> bool:
+def is_scheme_instance(scheme: str, f: Formula) -> bool:
     """Whether f fills the scheme's pattern: a metavariable binds the node at
     its first occurrence and must equal it at every later one; any other
     pattern node needs a node of its type.  The walk follows the pattern, so
