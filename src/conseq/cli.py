@@ -301,7 +301,7 @@ def run(argv: list[str], out=None) -> int:
         out.write(f"error: {e}\n")
         return 1
     except RecursionError:
-        # eval_formula and formula-level substitute recurse once per connective
+        # eval_formula recurses once per connective
         out.write("error: formula nested too deeply\n")
         return 1
 

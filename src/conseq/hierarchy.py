@@ -29,9 +29,13 @@ from .syntax import (
     Not,
     Or,
     Term,
+    SPLICE,
     Var,
+    _map_term,
     max_var,
     substitute,
+    term_vars,
+    walk,
 )
 
 
@@ -90,50 +94,42 @@ def class_leq(a: ComplexityClass, b: ComplexityClass) -> bool:
 
 
 def _mins(f: Formula) -> tuple[int, int]:
-    """(least n with f in Sigma_n, least k with f in Pi_k); an iterative
-    post-order walk, so nesting depth is not bounded by the recursion limit."""
-    done: list[tuple[int, int]] = []  # results of finished subformulas
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if isinstance(g, (EqAtom, LeAtom)):
-            done.append((0, 0))
-            continue
-        if isinstance(g, DAtom):
-            kind, level = registry.declared_class(g.name, g.params)
-            if level == 0 or kind == "Delta":
-                done.append((0, 0))
-            elif kind == "Sigma":
-                done.append((level, level + 1))
-            else:
-                done.append((level + 1, level))
-            continue
-        if not isinstance(g, (Not, And, Or, Imp, All, Ex, BAll, BEx)):
-            raise TypeError(f"not a formula: {g!r}")
-        if not expanded:
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(g._children()) if isinstance(c, Formula))
-            continue
-        if isinstance(g, (And, Or, Imp)):
-            s2, p2 = done.pop()
-            s1, p1 = done.pop()
-            if isinstance(g, Imp):
-                s1, p1 = p1, s1
-            done.append((max(s1, s2), max(p1, p2)))
-            continue
-        s, p = done.pop()
-        if isinstance(g, Not):
-            done.append((p, s))
-        elif isinstance(g, (BEx, BAll)) and s == 0 and p == 0:
-            done.append((0, 0))
-        elif isinstance(g, (Ex, BEx)):
-            s2 = max(1, min(s, p + 1))
-            done.append((s2, s2 + 1))
-        else:
-            p2 = max(1, min(p, s + 1))
-            done.append((p2 + 1, p2))
-    (result,) = done
-    return result
+    """(least n with f in Sigma_n, least k with f in Pi_k); a fold over the
+    walk, so nesting depth is not bounded by the recursion limit."""
+    return walk(f, None, _mins_step, _mins_fold)
+
+
+def _mins_step(g, _):
+    t = type(g)
+    if t is EqAtom or t is LeAtom:
+        return (0, 0), None
+    if t is DAtom:
+        kind, level = registry.declared_class(g.name, g.params)
+        if level == 0 or kind == "Delta":
+            return (0, 0), None
+        return ((level, level + 1) if kind == "Sigma" else (level + 1, level)), None
+    if t not in _DUAL and t is not Not and t is not Imp:
+        raise TypeError(f"not a formula: {g!r}")
+    return None, [(c, None) for c in g._children() if isinstance(c, Formula)]
+
+
+def _mins_fold(g, _, kids):
+    t = type(g)
+    if t is Not:
+        return kids[0][::-1]
+    if t is And or t is Or or t is Imp:
+        (s1, p1), (s2, p2) = kids
+        if t is Imp:
+            s1, p1 = p1, s1
+        return max(s1, s2), max(p1, p2)
+    ((s, p),) = kids
+    if (t is BEx or t is BAll) and s == 0 and p == 0:
+        return 0, 0
+    if t is Ex or t is BEx:
+        s2 = max(1, min(s, p + 1))
+        return s2, s2 + 1
+    p2 = max(1, min(p, s + 1))
+    return p2 + 1, p2
 
 
 def classify(f: Formula) -> ComplexityClass:
@@ -167,47 +163,40 @@ def is_elementary(f: Formula) -> bool:
 # pulled block can land above a Sigma-n atom and raise the folded count.
 
 
-def _peel(f: Formula):
-    prefix = []
-    while isinstance(f, (All, Ex)):
-        prefix.append(("A" if isinstance(f, All) else "E", f.var))
-        f = f.body
-    return prefix, f
-
-
 def _has_unbounded(f: Formula) -> bool:
     stack = [f]
     while stack:
         g = stack.pop()
         if isinstance(g, (All, Ex)):
             return True
-        for c in g._children():
-            if isinstance(c, Formula):
-                stack.append(c)
+        stack.extend(c for c in g._children() if isinstance(c, Formula))
     return False
 
 
 # the connective or quantifier a negation turns each kind into
 _DUAL = {And: Or, Or: And, All: Ex, Ex: All, BAll: BEx, BEx: BAll}
+_ATOMS = (EqAtom, LeAtom, DAtom)
 
 
 def _nnf(f: Formula, neg: bool) -> Formula:
-    if isinstance(f, (EqAtom, LeAtom, DAtom)):
-        return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.arg, not neg)
-    if isinstance(f, Imp):
-        if neg:
-            return And(_nnf(f.left, False), _nnf(f.right, True))
-        return Or(_nnf(f.left, True), _nnf(f.right, False))
-    if type(f) not in _DUAL:
-        raise TypeError(f"not a formula: {f!r}")
-    cls = _DUAL[type(f)] if neg else type(f)
-    if isinstance(f, (And, Or)):
-        return cls(_nnf(f.left, neg), _nnf(f.right, neg))
-    if isinstance(f, (All, Ex)):
-        return cls(f.var, _nnf(f.body, neg))
-    return cls(f.var, f.bound, _nnf(f.body, neg))
+    """Negation normal form of f (of ~f when neg), implications rewritten;
+    one walk with the polarity as context."""
+    return walk(f, neg, _nnf_step)
+
+
+def _nnf_step(g, neg: bool):
+    t = type(g)
+    if t is Not:
+        return SPLICE, ((g.arg, not neg),)
+    if t is Imp:
+        return ((And if neg else Or), ()), ((g.left, not neg), (g.right, neg))
+    if t in _ATOMS:
+        return (Not(g) if neg else g), None
+    if isinstance(g, Term):  # a bounded quantifier's bound
+        return g, None
+    if t not in _DUAL:
+        raise TypeError(f"not a formula: {g!r}")
+    return ((_DUAL[t], g._leaf_key()) if neg else None), [(c, neg) for c in g._children()]
 
 
 class _SlotAssigner:
@@ -216,67 +205,59 @@ class _SlotAssigner:
     The target alternation profile comes from the classifier; each binder is
     renamed fresh and dropped into the first slot of its kind at or below the
     current window, which is exactly the placement the classifier's recursion
-    counts."""
+    counts.  The walk's context is (window, renaming): the renaming maps each
+    pulled binder's variable to its fresh one, and window None marks a
+    Delta-0 bounded scope, which stays in the matrix and is only renamed."""
 
     def __init__(self, first: str, length: int, fresh: Iterator[int]):
-        self.first = first
-        self.length = length
+        other = "A" if first == "E" else "E"
+        self.kinds = [(first, other)[i % 2] for i in range(length)]
         self.fresh = fresh
         self.slots: list[list[int]] = [[] for _ in range(length)]
 
-    def kind_at(self, i: int) -> str:
-        if i % 2 == 0:
-            return self.first
-        return "A" if self.first == "E" else "E"
-
-    def place(self, kind: str, window: int) -> int:
-        pos = window if self.kind_at(window) == kind else window + 1
-        assert pos < self.length, "prenex slot overflow"
-        return pos
-
     def assign(self, g: Formula, window: int) -> Formula:
-        if isinstance(g, (EqAtom, LeAtom, DAtom)) or (
-            isinstance(g, Not) and isinstance(g.arg, (EqAtom, LeAtom, DAtom))
-        ):
-            return g
-        if isinstance(g, (And, Or)):
-            return type(g)(self.assign(g.left, window), self.assign(g.right, window))
-        if isinstance(g, (All, Ex)):
-            kind = "A" if isinstance(g, All) else "E"
-            pos = self.place(kind, window)
+        return walk(g, (window, {}), self._step)
+
+    def _step(self, g, ctx):
+        if isinstance(g, Term):
+            return _map_term(g, ctx)
+        window, ren = ctx
+        t = type(g)
+        if t is And or t is Or or t is Not:
+            return None, [(c, ctx) for c in g._children()]
+        if t in _ATOMS:
+            return None, [(c, ren if not ren.keys().isdisjoint(term_vars(c)) else {}) for c in g._children()]
+        if t is All or t is Ex:
+            pos = window if self.kinds[window] == ("A" if t is All else "E") else window + 1
+            assert pos < len(self.kinds), "prenex slot overflow"
             nv = next(self.fresh)
             self.slots[pos].append(nv)
-            body = substitute(g.body, g.var, Var(nv)) if g.var != nv else g.body
-            return self.assign(body, pos)
-        if isinstance(g, (BAll, BEx)):
-            # Delta-0 scope stays in the matrix; anything higher is pulled in
-            # guarded form (it raises the class exactly like an unbounded one)
-            if _mins(g.body) == (0, 0):
-                return g
-            guard = LeAtom(Var(g.var), g.bound)
-            if isinstance(g, BAll):
-                return self.assign(All(g.var, Or(Not(guard), g.body)), window)
-            return self.assign(Ex(g.var, And(guard, g.body)), window)
+            return SPLICE, ((g.body, (pos, {**ren, g.var: Var(nv)})),)
+        if t is BAll or t is BEx:
+            if window is not None and _mins(g.body) != (0, 0):
+                # a scope above Delta-0 is pulled in guarded form (it raises
+                # the class exactly like an unbounded quantifier)
+                guard = LeAtom(Var(g.var), g.bound)
+                pulled = All(g.var, Or(Not(guard), g.body)) if t is BAll else Ex(g.var, And(guard, g.body))
+                return SPLICE, ((pulled, ctx),)
+            inner = {k: x for k, x in ren.items() if k != g.var}
+            return None, ((g.bound, ren), (g.body, (None, inner)))
         raise TypeError(f"unexpected in NNF: {g!r}")
 
 
 def prenex(f: Formula) -> Formula:
-    _, rest = _peel(f)
+    rest = f
+    while isinstance(rest, (All, Ex)):
+        rest = rest.body
     if not _has_unbounded(rest):
         return f  # already prenex
-    fresh = itertools.count(max_var(f) + 1)
     nnf = _nnf(f, False)
     s, p = _mins(nnf)
-    if s <= p:
-        first, length = "E", s
-    else:
-        first, length = "A", p
-    assigner = _SlotAssigner(first, max(length, 1), fresh)
-    matrix = assigner.assign(nnf, 0)
-    out = matrix
-    for i in range(assigner.length - 1, -1, -1):
-        kind = assigner.kind_at(i)
-        for v in reversed(assigner.slots[i]):
+    first, length = ("E", s) if s <= p else ("A", p)
+    assigner = _SlotAssigner(first, max(length, 1), itertools.count(max_var(f) + 1))
+    out = assigner.assign(nnf, 0)
+    for kind, slot in reversed(list(zip(assigner.kinds, assigner.slots))):
+        for v in reversed(slot):
             out = All(v, out) if kind == "A" else Ex(v, out)
     return out
 

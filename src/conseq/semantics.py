@@ -126,28 +126,23 @@ def _infer_witness(body: Formula, v: int, instance: Formula) -> Optional[Term]:
     """Find t with instance == substitute(body, v, t), if any."""
     if v not in free_vars(body):
         return ZERO if instance == body else None
-    # locate one free occurrence of v and read off the aligned term
-    candidate: list[Optional[Term]] = [None]
-
-    def walk(b, inst, bound):
-        if candidate[0] is not None:
-            return
+    # read off the term aligned with the first free occurrence of v, walking
+    # body and instance in step on an explicit stack of node pairs
+    t = None
+    stack = [(body, instance, frozenset())]
+    while stack:
+        b, inst, bound = stack.pop()
         if isinstance(b, Var) and b.index == v and v not in bound:
-            candidate[0] = inst if isinstance(inst, Term) else None
-            return
-        if type(b) is not type(inst):
-            return
+            if isinstance(inst, Term):
+                t = inst
+                break
+            continue
         bc, ic = b._children(), inst._children()
-        if len(bc) != len(ic):
-            return
-        nb = bound
+        if type(b) is not type(inst) or len(bc) != len(ic):
+            continue
         if isinstance(b, (All, Ex, BAll, BEx)):
-            nb = bound | {b.var}
-        for x, y in zip(bc, ic):
-            walk(x, y, nb)
-
-    walk(body, instance, frozenset())
-    t = candidate[0]
+            bound = bound | {b.var}
+        stack.extend((x, y, bound) for x, y in reversed(tuple(zip(bc, ic))))
     if t is None:
         return None
     try:
@@ -683,11 +678,14 @@ def _matches_numeral_subst(inst: Formula, base: Formula, fv: list[int], vals: li
     """inst == base with numerals of vals substituted for fv, checked without
     materializing huge numerals."""
     mapping = dict(zip(fv, vals))
-
-    def walk(b, i, bound) -> bool:
+    # base and inst in step, on an explicit stack of node pairs
+    stack = [(base, inst, frozenset())]
+    while stack:
+        b, i, bound = stack.pop()
         if isinstance(b, Var) and b.index in mapping and b.index not in bound:
-            h = _numeral_height(i) if isinstance(i, Term) else None
-            return h is not None and h == mapping[b.index]
+            if not isinstance(i, Term) or _numeral_height(i) != mapping[b.index]:
+                return False
+            continue
         # leaf keys: a variable's index, an atom's name and params, a binder's var
         if type(b) is not type(i) or b._leaf_key() != i._leaf_key():
             return False
@@ -696,9 +694,8 @@ def _matches_numeral_subst(inst: Formula, base: Formula, fv: list[int], vals: li
         bc, ic = b._children(), i._children()
         if len(bc) != len(ic):
             return False
-        return all(walk(x, y, bound) for x, y in zip(bc, ic))
-
-    return walk(base, inst, frozenset())
+        stack.extend((x, y, bound) for x, y in zip(bc, ic))
+    return True
 
 
 def _eval_prfsub(params, args, budget) -> TV3:

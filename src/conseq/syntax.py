@@ -10,14 +10,17 @@ seals a structural hash and node count at construction and compares nodes
 through them.  Nodes are immutable.
 
 Deeply nested terms occur routinely (compact code literals reach hundreds of
-thousands of nodes), so equality, printing, parsing, free_vars and every
-term-level traversal are iterative.  Formula-level substitute recurses once
-per connective or quantifier, so a formula nested past the interpreter's
-recursion limit raises RecursionError there.
+thousands of nodes), so no walk here recurses per node.  Substitution, the
+folds (free_vars, max_var) and the prenex rewrites in hierarchy all run
+through walk(), one explicit stack; equality, parsing, term_vars, term_value
+and the printer keep their own loops.  Only a formula-valued atom parameter
+is handled by a nested call, once per parameter.  The one formula walk left
+that recurses per connective is semantics.eval_formula.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -49,7 +52,8 @@ class EvalError(ValueError):
 
 
 class Node:
-    """Base for terms and formulas: hash/size sealed, equality iterative."""
+    """Base for terms and formulas: hash/size sealed, equality iterative,
+    repr the printed text."""
 
     __slots__ = ()
 
@@ -93,6 +97,13 @@ class Node:
     def _leaf_key(self) -> tuple:
         return ()
 
+    def __repr__(self):
+        return _emit(self)
+
+
+# node kinds are frozen dataclasses; hash, equality and repr come from Node
+_node = dataclass(frozen=True, eq=False, repr=False)
+
 
 class Term(Node):
     __slots__ = ()
@@ -102,7 +113,16 @@ class Formula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+class _Pair(Node):
+    """A kind whose subnodes are its left and right fields."""
+
+    __slots__ = ()
+
+    def _children(self):
+        return (self.left, self.right)
+
+
+@_node
 class Var(Term):
     index: int
 
@@ -115,12 +135,12 @@ class Var(Term):
         return (self.index,)
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Succ(Term):
     arg: Term
 
@@ -128,25 +148,19 @@ class Succ(Term):
         return (self.arg,)
 
 
-@dataclass(frozen=True, eq=False)
-class Add(Term):
+@_node
+class Add(_Pair, Term):
     left: Term
     right: Term
 
-    def _children(self):
-        return (self.left, self.right)
 
-
-@dataclass(frozen=True, eq=False)
-class Mul(Term):
+@_node
+class Mul(_Pair, Term):
     left: Term
     right: Term
 
-    def _children(self):
-        return (self.left, self.right)
 
-
-@dataclass(frozen=True, eq=False)
+@_node
 class Exp(Term):
     base: Term
     power: Term
@@ -155,25 +169,19 @@ class Exp(Term):
         return (self.base, self.power)
 
 
-@dataclass(frozen=True, eq=False)
-class EqAtom(Formula):
+@_node
+class EqAtom(_Pair, Formula):
     left: Term
     right: Term
 
-    def _children(self):
-        return (self.left, self.right)
 
-
-@dataclass(frozen=True, eq=False)
-class LeAtom(Formula):
+@_node
+class LeAtom(_Pair, Formula):
     left: Term
     right: Term
 
-    def _children(self):
-        return (self.left, self.right)
 
-
-@dataclass(frozen=True, eq=False)
+@_node
 class DAtom(Formula):
     """Designated atom: a registered predicate with parameters and term args.
 
@@ -228,7 +236,7 @@ def _check_atom(a: DAtom, fam: registry.Family) -> None:
         raise ValueError(f"{a.name} takes {fam.arity}{' or more' if fam.variadic else ''} args, got {n}")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Not(Formula):
     arg: Formula
 
@@ -236,31 +244,22 @@ class Not(Formula):
         return (self.arg,)
 
 
-@dataclass(frozen=True, eq=False)
-class And(Formula):
+@_node
+class And(_Pair, Formula):
     left: Formula
     right: Formula
 
-    def _children(self):
-        return (self.left, self.right)
 
-
-@dataclass(frozen=True, eq=False)
-class Or(Formula):
+@_node
+class Or(_Pair, Formula):
     left: Formula
     right: Formula
 
-    def _children(self):
-        return (self.left, self.right)
 
-
-@dataclass(frozen=True, eq=False)
-class Imp(Formula):
+@_node
+class Imp(_Pair, Formula):
     left: Formula
     right: Formula
-
-    def _children(self):
-        return (self.left, self.right)
 
 
 class _Binder(Formula):
@@ -268,26 +267,23 @@ class _Binder(Formula):
 
     __slots__ = ()
 
+    def _children(self):
+        return (self.body,)
+
     def _leaf_key(self):
         return (self.var,)
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class All(_Binder):
     var: int
     body: Formula
 
-    def _children(self):
-        return (self.body,)
 
-
-@dataclass(frozen=True, eq=False)
+@_node
 class Ex(_Binder):
     var: int
     body: Formula
-
-    def _children(self):
-        return (self.body,)
 
 
 class _Bounded(_Binder):
@@ -304,7 +300,7 @@ class _Bounded(_Binder):
         return (self.bound, self.body)
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class BAll(_Bounded):
     """Bounded universal: A xk<=t. f   (t must not contain xk)."""
 
@@ -313,7 +309,7 @@ class BAll(_Bounded):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class BEx(_Bounded):
     """Bounded existential: E xk<=t. f   (t must not contain xk)."""
 
@@ -435,235 +431,260 @@ def term_vars(t: Term) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
+# The walk
+
+SPLICE = object()  # shape: the node is replaced by its one kid's result
+_LEAVE = object()
+
+
+def walk(root: Node, ctx, enter, leave=None):
+    """The one rewrite-and-fold traversal of terms and formulas, on an
+    explicit stack.
+
+    enter(node, ctx) sees each node pre-order, left to right, with its
+    top-down context, and returns (value, None) when the node is finished or
+    (shape, kids) to descend into kids, a sequence of (subnode, its ctx).
+    The node is then left post-order by leave(node, shape, kid values).  The
+    default leave rebuilds through the node contract: shape None keeps the
+    kind and leaf data (and the node itself when no kid changed), (cls, leaf)
+    builds cls(*leaf, *kids), and SPLICE stands for the one kid's value.
+    """
+    leave = leave or _rebuild
+    out: list = []
+    stack: list = [(root, ctx)]
+    while stack:
+        x, c = stack.pop()
+        if x is _LEAVE:
+            node, shape, n = c
+            kids = out[len(out) - n :]
+            del out[len(out) - n :]
+            out.append(leave(node, shape, kids))
+            continue
+        value, kids = enter(x, c)
+        if kids is None:
+            out.append(value)
+        else:
+            stack.append((_LEAVE, (x, value, len(kids))))
+            stack.extend(reversed(kids))
+    return out[0]
+
+
+def _rebuild(node: Node, shape, kids: list) -> Node:
+    if shape is SPLICE:
+        return kids[0]
+    if shape is None:
+        if all(map(operator.is_, kids, node._children())):
+            return node
+        shape = (type(node), node._leaf_key())
+    cls, leaf = shape
+    return DAtom(*leaf, tuple(kids)) if cls is DAtom else cls(*leaf, *kids)
+
+
+def _map_term(x: Node, m: dict):
+    """walk step: a term with each variable in m replaced by its image."""
+    if type(x) is Var:
+        return m.get(x.index, x), None
+    return (None, [(c, m) for c in x._children()]) if m else (x, None)
+
+
+# ---------------------------------------------------------------------------
 # Free variables and substitution
+
+
+def _free_sets(f: Node) -> dict:
+    """id of each formula node of f, and of each atom argument and bound
+    term, -> its free variables; one bottom-up fold."""
+    table: dict[int, frozenset[int]] = {}
+
+    def enter(x, _):
+        if isinstance(x, Term):
+            s = table[id(x)] = term_vars(x)
+            return s, None
+        return None, [(c, None) for c in x._children()]
+
+    def leave(x, _, kids):
+        if isinstance(x, _Binder):
+            s = kids[-1] - {x.var}
+            if len(kids) == 2:  # a bounded quantifier's bound is outside its scope
+                s |= kids[0]
+        else:
+            s = frozenset().union(*kids)
+        table[id(x)] = s
+        return s
+
+    walk(f, None, enter, leave)
+    return table
 
 
 def free_vars(f: Union[Formula, Term]) -> frozenset[int]:
     """Free variable indices of a formula (or all variables of a term)."""
-    if isinstance(f, Term):
-        return term_vars(f)
-    out: set[int] = set()
-    stack: list[tuple[Formula, frozenset[int]]] = [(f, frozenset())]
-    while stack:
-        g, bound = stack.pop()
-        if isinstance(g, (EqAtom, LeAtom)):
-            out |= term_vars(g.left) - bound
-            out |= term_vars(g.right) - bound
-        elif isinstance(g, DAtom):
-            for a in g.args:
-                out |= term_vars(a) - bound
-        elif isinstance(g, Not):
-            stack.append((g.arg, bound))
-        elif isinstance(g, (And, Or, Imp)):
-            stack.append((g.left, bound))
-            stack.append((g.right, bound))
-        elif isinstance(g, (All, Ex)):
-            stack.append((g.body, bound | {g.var}))
-        elif isinstance(g, (BAll, BEx)):
-            out |= term_vars(g.bound) - bound
-            stack.append((g.body, bound | {g.var}))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-    return frozenset(out)
-
-
-def _subst_term(t: Term, v: int, repl: Term) -> Term:
-    """Replace variable v by repl inside a term; iterative two-pass."""
-    if v not in term_vars(t):
-        return t
-    # Post-order rebuild with an explicit stack.
-    done: dict[int, Term] = {}
-    order: list[Term] = []
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        stack.extend(x._children())
-    for x in reversed(order):
-        if id(x) in done:
-            continue
-        if isinstance(x, Var):
-            done[id(x)] = repl if x.index == v else x
-        else:
-            kids = x._children()
-            done[id(x)] = type(x)(*[done[id(c)] for c in kids]) if kids else x
-    return done[id(t)]
+    return _free_sets(f)[id(f)]
 
 
 def max_var(f: Union[Formula, Term]) -> int:
     """Largest variable index occurring anywhere (bound or free); -1 if none."""
-    best = -1
-    stack: list[Node] = [f]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            best = max(best, x.index)
-        elif isinstance(x, _Binder):
-            best = max(best, x.var)
-        stack.extend(x._children())
-    return best
+
+    def enter(x, _):
+        if isinstance(x, Term):
+            return max(term_vars(x), default=-1), None
+        return (x.var if isinstance(x, _Binder) else -1), [(c, None) for c in x._children()]
+
+    return walk(f, None, enter, lambda x, best, kids: max([best, *kids]))
+
+
+def _compose(passes) -> dict:
+    """The one variable map that the passes (v, t, vars of t), applied to a
+    term in order, amount to."""
+    m: dict[int, Term] = {}
+    for v, t, _ in passes:
+        m = {k: walk(u, {v: t}, _map_term) for k, u in m.items()}
+        m.setdefault(v, t)
+    return m
 
 
 def substitute(f: Formula, v: int, t: Term) -> Formula:
     """Capture-avoiding substitution of term t for free variable v in f.
 
     Bound variables are renamed to fresh indices when t's variables would be
-    captured.
+    captured.  A renaming is a substitution into the binder's body, so each
+    node carries the passes (v, t, vars of t) to apply to it in order; free
+    variables are folded once, and a node no pass reaches is kept as it is.
     """
-    t_vars = term_vars(t)
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    fvs = _free_sets(f)
 
-    def go(g: Formula, v: int, t: Term, t_vars: frozenset[int]) -> Formula:
-        if isinstance(g, (EqAtom, LeAtom)):
-            return type(g)(_subst_term(g.left, v, t), _subst_term(g.right, v, t))
-        if isinstance(g, DAtom):
-            return DAtom(g.name, g.params, tuple(_subst_term(a, v, t) for a in g.args))
-        if isinstance(g, Not):
-            return Not(go(g.arg, v, t, t_vars))
-        if isinstance(g, (And, Or, Imp)):
-            return type(g)(go(g.left, v, t, t_vars), go(g.right, v, t, t_vars))
-        if isinstance(g, _Binder):
-            # a bounded quantifier's bound term is outside the binder's scope
-            bound = (_subst_term(g.bound, v, t),) if isinstance(g, _Bounded) else ()
-            var, body = g.var, g.body
-            in_body = var != v and v in free_vars(body)
-            # t would be captured in the body, or land in the bound beside the binder
-            if var in t_vars and (in_body or (bound and v in term_vars(g.bound))):
+    def enter(x, passes):
+        if isinstance(x, Term):
+            return _map_term(x, passes)
+        fv, live = fvs[id(x)], []
+        for p in passes:
+            if p[0] in fv:
+                live.append(p)
+                fv = (fv - {p[0]}) | p[2]
+        if not live:
+            return x, None
+        if not isinstance(x, _Binder):
+            if isinstance(x, (EqAtom, LeAtom, DAtom)):
+                m = _compose(live)
+                return None, [(c, m if not m.keys().isdisjoint(fvs[id(c)]) else {}) for c in x._children()]
+            return None, [(c, live) for c in x._children()]
+        var, bounded = x.var, isinstance(x, _Bounded)
+        body_fv = fvs[id(x.body)]
+        bound_fv = fvs[id(x.bound)] if bounded else frozenset()
+        to_bound, to_body = [], []
+        for p in live:
+            w, u, uv = p
+            in_bound = w in bound_fv
+            if in_bound:
+                to_bound.append(p)
+                bound_fv = (bound_fv - {w}) | uv
+            in_body = var != w and w in body_fv
+            # u would be captured in the body, or land in the bound beside the binder
+            if var in uv and (in_body or in_bound):
                 # rename the binder to avoid capture, past the bound's variables
-                taken = term_vars(bound[0]) if bound else frozenset()
-                var = max(t_vars | free_vars(body) | {v, var}) + 1
-                while var in taken:
-                    var += 1
-                body = go(body, g.var, Var(var), frozenset({var}))
+                nv = max(uv | body_fv | {w, var}) + 1
+                while nv in bound_fv:
+                    nv += 1
+                if var in body_fv:
+                    to_body.append((var, Var(nv), frozenset({nv})))
+                    body_fv = (body_fv - {var}) | {nv}
+                var = nv
             if in_body:
-                body = go(body, v, t, t_vars)
-            elif not bound:
-                return g  # v is shadowed or absent: nothing changes
-            return type(g)(var, *bound, body)
-        raise TypeError(f"not a formula: {g!r}")
+                to_body.append(p)
+                body_fv = (body_fv - {w}) | uv
+        kids = [(x.body, to_body)]
+        if bounded:
+            kids.insert(0, (x.bound, _compose(to_bound)))
+        return (None if var == x.var else (type(x), (var,))), kids
 
-    return go(f, v, t, t_vars)
+    return walk(f, ((v, t, term_vars(t)),), enter)
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-_FALSUM: Optional[Formula] = None
+_FALSUM = EqAtom(ZERO, _ONE)
 
 
 def falsum() -> Formula:
     """The canonical false sentence 0=S(0)."""
-    global _FALSUM
-    if _FALSUM is None:
-        _FALSUM = EqAtom(ZERO, Succ(ZERO))
     return _FALSUM
 
 
 def _param_text(p) -> str:
-    if isinstance(p, int):
-        return str(p)
-    if isinstance(p, str):
-        return p
-    if isinstance(p, Formula):
-        return "{" + print_formula(p) + "}"
-    if isinstance(p, Term):
-        return "{" + print_term(p) + "}"
+    if isinstance(p, Node):
+        return "{" + _emit(p) + "}"
     if isinstance(p, Ref):
         return p.text()
+    if isinstance(p, (int, str)):
+        return str(p)
     raise TypeError(f"not a parameter: {p!r}")
+
+
+def _atom_head(x: DAtom) -> str:
+    return x.name + ("[" + ",".join(map(_param_text, x.params)) + "](" if x.params else "(")
+
+
+# kind -> (head, separator between children, tail); a head that depends on
+# the node's leaf data is a function of the node
+_FORMAT = {
+    Zero: ("0", "", ""),
+    Var: (lambda x: f"x{x.index}", "", ""),
+    Succ: ("S(", "", ")"),
+    Add: ("(", "+", ")"),
+    Mul: ("(", "*", ")"),
+    Exp: ("exp(", ",", ")"),
+    EqAtom: ("", "=", ""),
+    LeAtom: ("", "<=", ""),
+    DAtom: (_atom_head, ",", ")"),
+    Not: ("~", "", ""),
+    And: ("(", "/\\", ")"),
+    Or: ("(", "\\/", ")"),
+    Imp: ("(", "->", ")"),
+    All: (lambda x: f"A x{x.var}. ", "", ""),
+    Ex: (lambda x: f"E x{x.var}. ", "", ""),
+    BAll: (lambda x: f"A x{x.var}<=", ". ", ""),
+    BEx: (lambda x: f"E x{x.var}<=", ". ", ""),
+}
+
+
+def _emit(root: Node) -> str:
+    """Canonical text of a term or formula, from the format table; strings
+    and nodes share one work stack."""
+    parts: list[str] = []
+    stack: list = [root]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            parts.append(x)
+            continue
+        head, sep, tail = _FORMAT[type(x)]
+        parts.append(head if type(head) is str else head(x))
+        # pushed in reverse: the tail, then the kids with sep between them
+        kids = x._children()
+        if len(kids) == 2:
+            stack += (tail, kids[1], sep, kids[0])
+        elif kids:
+            stack.append(tail)
+            for k in kids[:0:-1]:
+                stack += (k, sep)
+            stack.append(kids[0])
+    return "".join(parts)
 
 
 def print_term(t: Term) -> str:
     """Canonical text of a term; iterative."""
-    parts: list[str] = []
-    # work items: ("t", node) to render, ("s", literal) to emit
-    stack: list[tuple] = [("t", t)]
-    while stack:
-        kind, x = stack.pop()
-        if kind == "s":
-            parts.append(x)
-            continue
-        if isinstance(x, Zero):
-            parts.append("0")
-        elif isinstance(x, Var):
-            parts.append(f"x{x.index}")
-        elif isinstance(x, Succ):
-            parts.append("S(")
-            stack.append(("s", ")"))
-            stack.append(("t", x.arg))
-        elif isinstance(x, Add):
-            parts.append("(")
-            stack.append(("s", ")"))
-            stack.append(("t", x.right))
-            stack.append(("s", "+"))
-            stack.append(("t", x.left))
-        elif isinstance(x, Mul):
-            parts.append("(")
-            stack.append(("s", ")"))
-            stack.append(("t", x.right))
-            stack.append(("s", "*"))
-            stack.append(("t", x.left))
-        elif isinstance(x, Exp):
-            parts.append("exp(")
-            stack.append(("s", ")"))
-            stack.append(("t", x.power))
-            stack.append(("s", ","))
-            stack.append(("t", x.base))
-        else:
-            raise TypeError(f"not a term: {x!r}")
-    return "".join(parts)
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    return _emit(t)
 
 
 def print_formula(f: Formula) -> str:
     """Canonical text of a formula (the parse grammar's canonical form)."""
-    parts: list[str] = []
-    stack: list[tuple] = [("f", f)]
-    while stack:
-        kind, x = stack.pop()
-        if kind == "s":
-            parts.append(x)
-            continue
-        if kind == "t":
-            parts.append(print_term(x))
-            continue
-        if isinstance(x, EqAtom):
-            parts.append(print_term(x.left))
-            parts.append("=")
-            parts.append(print_term(x.right))
-        elif isinstance(x, LeAtom):
-            parts.append(print_term(x.left))
-            parts.append("<=")
-            parts.append(print_term(x.right))
-        elif isinstance(x, DAtom):
-            head = x.name
-            if x.params:
-                head += "[" + ",".join(_param_text(p) for p in x.params) + "]"
-            parts.append(head + "(")
-            stack.append(("s", ")"))
-            for i, a in enumerate(reversed(x.args)):
-                stack.append(("t", a))
-                if i != len(x.args) - 1:
-                    stack.append(("s", ","))
-        elif isinstance(x, Not):
-            parts.append("~")
-            stack.append(("f", x.arg))
-        elif isinstance(x, (And, Or, Imp)):
-            op = {And: "/\\", Or: "\\/", Imp: "->"}[type(x)]
-            parts.append("(")
-            stack.append(("s", ")"))
-            stack.append(("f", x.right))
-            stack.append(("s", op))
-            stack.append(("f", x.left))
-        elif isinstance(x, (All, Ex)):
-            q = "A" if isinstance(x, All) else "E"
-            parts.append(f"{q} x{x.var}. ")
-            stack.append(("f", x.body))
-        elif isinstance(x, (BAll, BEx)):
-            q = "A" if isinstance(x, BAll) else "E"
-            parts.append(f"{q} x{x.var}<={print_term(x.bound)}. ")
-            stack.append(("f", x.body))
-        else:
-            raise TypeError(f"not a formula: {x!r}")
-    return "".join(parts)
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return _emit(f)
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,12 @@ def test_classify_of_a_deeply_nested_formula():
 
 
 def test_deeply_nested_formula_is_a_domain_error():
-    for argv in (["eval", "--budget", "4", DEEP + "0=0"], ["fixpoint", DEEP + "x2=0", "--hole", "2"]):
-        assert _run(argv) == (1, "error: formula nested too deeply\n")
+    assert _run(["eval", "--budget", "4", DEEP + "0=0"]) == (1, "error: formula nested too deeply\n")
+
+
+def test_fixpoint_of_a_deeply_nested_formula():
+    code, out = _run(["fixpoint", DEEP + "x2=0", "--hole", "2"])
+    assert code == 0 and out.startswith("E x2. (Diag(") and out.endswith(DEEP + "x2=0)\nSigma 1\n")
 
 
 def test_atom_on_a_code_with_a_name_that_is_not_utf8_is_false():

@@ -11,10 +11,32 @@ index included, changes a digest.
 import hashlib
 import random
 
+import pytest
+
+from conseq.coding import encode, encode_proof
 from conseq.gen import random_formula
 from conseq.hierarchy import _nnf, classify, prenex
+from conseq.semantics import FALSE, Proof, Step, _infer_witness, eval_formula
 from conseq.sequences import index_sequence, pi_slice_sequence, sigma_slice_sequence, visser_sequence
-from conseq.syntax import ZERO, Add, Succ, Var, free_vars, max_var, numeral, print_formula, substitute
+from conseq.syntax import (
+    ZERO,
+    Add,
+    All,
+    And,
+    DAtom,
+    EqAtom,
+    Ex,
+    Not,
+    Or,
+    Succ,
+    Var,
+    code_literal,
+    free_vars,
+    max_var,
+    numeral,
+    print_formula,
+    substitute,
+)
 from conseq.theories import standard_theory
 
 # terms substituted in the grid: closed ones, and ones that hold indices the
@@ -22,18 +44,14 @@ from conseq.theories import standard_theory
 _TERMS = (ZERO, numeral(2), Var(1), Var(3), Succ(Var(5)), Add(Var(0), Var(7)), Add(Var(2), Var(11)))
 
 
+def _taus():
+    ea = standard_theory("EA")
+    return [spec.tau for spec in (visser_sequence(ea), sigma_slice_sequence(2, ea), pi_slice_sequence(2, ea), index_sequence(2, ea))]
+
+
 def _corpus():
     rng = random.Random(20261020)
-    out = [random_formula(rng, 4, [0, 1, 2]) for _ in range(2000)]
-    ea = standard_theory("EA")
-    for spec in (
-        visser_sequence(ea),
-        sigma_slice_sequence(2, ea),
-        pi_slice_sequence(2, ea),
-        index_sequence(2, ea),
-    ):
-        out.append(spec.tau)
-    return out
+    return [random_formula(rng, 4, [0, 1, 2]) for _ in range(2000)] + _taus()
 
 
 def _digests():
@@ -66,3 +84,92 @@ WALK_DIGESTS = {
 
 def test_walk_digests():
     assert _digests() == WALK_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Deep input: every walk runs on an explicit stack
+
+
+DEPTH = 3000
+
+
+def _nest(inner, wrap):
+    for _ in range(DEPTH):
+        inner = wrap(inner)
+    return inner
+
+
+def _eq(a, b):
+    return EqAtom(a, b)
+
+
+X0, X1 = Var(0), Var(1)
+# D: a /\ chain ending in E x1. x1=x0;  N: nested E x5 over x0=x0
+D = _nest(Ex(1, _eq(X1, X0)), lambda g: And(_eq(X0, X0), g))
+N = _nest(_eq(X0, X0), lambda g: Ex(5, g))
+
+
+def test_deep_substitute():
+    assert substitute(_nest(_eq(X0, X0), Not), 0, ZERO) == _nest(_eq(ZERO, ZERO), Not)
+    assert substitute(D, 0, ZERO) == _nest(Ex(1, _eq(X1, ZERO)), lambda g: And(_eq(ZERO, ZERO), g))
+    # x5 would be captured at every level, so every binder is renamed to x6
+    assert substitute(N, 0, Var(5)) == _nest(_eq(Var(5), Var(5)), lambda g: Ex(6, g))
+
+
+X2, X3 = Var(2), Var(3)
+
+
+@pytest.mark.parametrize(
+    "f,nnf,nnf_neg,pnf",
+    [
+        (
+            All(0, _nest(Ex(1, _eq(X1, X0)), Not)),
+            All(0, Ex(1, _eq(X1, X0))),
+            Ex(0, All(1, Not(_eq(X1, X0)))),
+            All(2, Ex(3, _eq(X3, X2))),
+        ),
+        (
+            All(0, D),
+            All(0, D),
+            Ex(0, _nest(All(1, Not(_eq(X1, X0))), lambda g: Or(Not(_eq(X0, X0)), g))),
+            All(2, Ex(3, _nest(_eq(X3, X2), lambda g: And(_eq(X2, X2), g)))),
+        ),
+    ],
+    ids=["negations", "conjunctions"],
+)
+def test_deep_prenex(f, nnf, nnf_neg, pnf):
+    assert _nnf(f, False) == nnf
+    assert _nnf(f, True) == nnf_neg
+    assert prenex(f) == pnf
+
+
+def test_deep_prenex_of_negated_existentials():
+    assert _nnf(N, False) == N
+    # ~N is N's dual: the universals are pulled out, each to a fresh variable
+    out = Not(_eq(X0, X0))
+    for v in range(DEPTH + 5, 5, -1):
+        out = All(v, out)
+    assert prenex(Not(N)) == out
+
+
+def test_deep_repr_is_the_printed_text():
+    f = _nest(_eq(X0, X0), Not)
+    assert repr(f) == print_formula(f) == "~" * DEPTH + "x0=x0"
+    for tau in _taus():
+        assert repr(tau) == print_formula(tau)
+
+
+# a code literal 3,000 term nodes deep
+L = code_literal(2**1500 + 12345)
+
+
+def test_prfsub_over_a_deep_literal():
+    base = _eq(Add(X0, L), L)
+    proof = Proof((Step(substitute(base, 0, numeral(3)), ("axiom",)),))
+    f = DAtom("PrfSub", ("EA",), (code_literal(encode_proof(proof)), code_literal(encode(base)), numeral(3)))
+    assert eval_formula(f, 10) == FALSE
+
+
+def test_infer_witness_past_a_deep_literal():
+    body = _eq(Add(L, X0), ZERO)
+    assert _infer_witness(body, 0, substitute(body, 0, numeral(2))) == Succ(Succ(ZERO))
