@@ -28,8 +28,8 @@ from .syntax import (
     LeAtom,
     Not,
     Or,
-    Term,
     SPLICE,
+    Term,
     Var,
     _map_term,
     max_var,
@@ -156,6 +156,8 @@ def is_elementary(f: Formula) -> bool:
 # pull quantifiers with parity-aligned block merging so the prefix realizes
 # the classifier's minimal profile.  Bounded quantifiers over Delta-0 scopes
 # stay in the matrix; over anything higher they become guarded unbounded ones.
+# Both passes are steps of syntax.walk (see _nnf and _SlotAssigner), so
+# neither recurses, and fresh variables are drawn in the walk's pre-order.
 #
 # The class bound classify(prenex(f)) <= classify(f) holds when every
 # designated atom in f is Delta-0 declared.  Higher declared atoms are opaque:

@@ -626,8 +626,7 @@ def _atom_head(x: DAtom) -> str:
     return x.name + ("[" + ",".join(map(_param_text, x.params)) + "](" if x.params else "(")
 
 
-# kind -> (head, separator between children, tail); a head that depends on
-# the node's leaf data is a function of the node
+# kind -> (head, separator between children, tail); a head that shows leaf data is a function of the node
 _FORMAT = {
     Zero: ("0", "", ""),
     Var: (lambda x: f"x{x.index}", "", ""),
@@ -650,8 +649,7 @@ _FORMAT = {
 
 
 def _emit(root: Node) -> str:
-    """Canonical text of a term or formula, from the format table; strings
-    and nodes share one work stack."""
+    """Text of a term or formula from _FORMAT, on one stack of nodes and strings."""
     parts: list[str] = []
     stack: list = [root]
     while stack:

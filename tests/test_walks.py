@@ -99,21 +99,17 @@ def _nest(inner, wrap):
     return inner
 
 
-def _eq(a, b):
-    return EqAtom(a, b)
-
-
 X0, X1 = Var(0), Var(1)
 # D: a /\ chain ending in E x1. x1=x0;  N: nested E x5 over x0=x0
-D = _nest(Ex(1, _eq(X1, X0)), lambda g: And(_eq(X0, X0), g))
-N = _nest(_eq(X0, X0), lambda g: Ex(5, g))
+D = _nest(Ex(1, EqAtom(X1, X0)), lambda g: And(EqAtom(X0, X0), g))
+N = _nest(EqAtom(X0, X0), lambda g: Ex(5, g))
 
 
 def test_deep_substitute():
-    assert substitute(_nest(_eq(X0, X0), Not), 0, ZERO) == _nest(_eq(ZERO, ZERO), Not)
-    assert substitute(D, 0, ZERO) == _nest(Ex(1, _eq(X1, ZERO)), lambda g: And(_eq(ZERO, ZERO), g))
+    assert substitute(_nest(EqAtom(X0, X0), Not), 0, ZERO) == _nest(EqAtom(ZERO, ZERO), Not)
+    assert substitute(D, 0, ZERO) == _nest(Ex(1, EqAtom(X1, ZERO)), lambda g: And(EqAtom(ZERO, ZERO), g))
     # x5 would be captured at every level, so every binder is renamed to x6
-    assert substitute(N, 0, Var(5)) == _nest(_eq(Var(5), Var(5)), lambda g: Ex(6, g))
+    assert substitute(N, 0, Var(5)) == _nest(EqAtom(Var(5), Var(5)), lambda g: Ex(6, g))
 
 
 X2, X3 = Var(2), Var(3)
@@ -123,16 +119,16 @@ X2, X3 = Var(2), Var(3)
     "f,nnf,nnf_neg,pnf",
     [
         (
-            All(0, _nest(Ex(1, _eq(X1, X0)), Not)),
-            All(0, Ex(1, _eq(X1, X0))),
-            Ex(0, All(1, Not(_eq(X1, X0)))),
-            All(2, Ex(3, _eq(X3, X2))),
+            All(0, _nest(Ex(1, EqAtom(X1, X0)), Not)),
+            All(0, Ex(1, EqAtom(X1, X0))),
+            Ex(0, All(1, Not(EqAtom(X1, X0)))),
+            All(2, Ex(3, EqAtom(X3, X2))),
         ),
         (
             All(0, D),
             All(0, D),
-            Ex(0, _nest(All(1, Not(_eq(X1, X0))), lambda g: Or(Not(_eq(X0, X0)), g))),
-            All(2, Ex(3, _nest(_eq(X3, X2), lambda g: And(_eq(X2, X2), g)))),
+            Ex(0, _nest(All(1, Not(EqAtom(X1, X0))), lambda g: Or(Not(EqAtom(X0, X0)), g))),
+            All(2, Ex(3, _nest(EqAtom(X3, X2), lambda g: And(EqAtom(X2, X2), g)))),
         ),
     ],
     ids=["negations", "conjunctions"],
@@ -146,14 +142,14 @@ def test_deep_prenex(f, nnf, nnf_neg, pnf):
 def test_deep_prenex_of_negated_existentials():
     assert _nnf(N, False) == N
     # ~N is N's dual: the universals are pulled out, each to a fresh variable
-    out = Not(_eq(X0, X0))
+    out = Not(EqAtom(X0, X0))
     for v in range(DEPTH + 5, 5, -1):
         out = All(v, out)
     assert prenex(Not(N)) == out
 
 
 def test_deep_repr_is_the_printed_text():
-    f = _nest(_eq(X0, X0), Not)
+    f = _nest(EqAtom(X0, X0), Not)
     assert repr(f) == print_formula(f) == "~" * DEPTH + "x0=x0"
     for tau in _taus():
         assert repr(tau) == print_formula(tau)
@@ -164,12 +160,12 @@ L = code_literal(2**1500 + 12345)
 
 
 def test_prfsub_over_a_deep_literal():
-    base = _eq(Add(X0, L), L)
+    base = EqAtom(Add(X0, L), L)
     proof = Proof((Step(substitute(base, 0, numeral(3)), ("axiom",)),))
     f = DAtom("PrfSub", ("EA",), (code_literal(encode_proof(proof)), code_literal(encode(base)), numeral(3)))
     assert eval_formula(f, 10) == FALSE
 
 
 def test_infer_witness_past_a_deep_literal():
-    body = _eq(Add(L, X0), ZERO)
+    body = EqAtom(Add(L, X0), ZERO)
     assert _infer_witness(body, 0, substitute(body, 0, numeral(2))) == Succ(Succ(ZERO))
