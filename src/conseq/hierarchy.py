@@ -217,10 +217,7 @@ class _SlotAssigner:
         self.fresh = fresh
         self.slots: list[list[int]] = [[] for _ in range(length)]
 
-    def assign(self, g: Formula, window: int) -> Formula:
-        return walk(g, (window, {}), self._step)
-
-    def _step(self, g, ctx):
+    def assign(self, g, ctx):
         if isinstance(g, Term):
             return _map_term(g, ctx)
         window, ren = ctx
@@ -257,7 +254,7 @@ def prenex(f: Formula) -> Formula:
     s, p = _mins(nnf)
     first, length = ("E", s) if s <= p else ("A", p)
     assigner = _SlotAssigner(first, max(length, 1), itertools.count(max_var(f) + 1))
-    out = assigner.assign(nnf, 0)
+    out = walk(nnf, (0, {}), assigner.assign)
     for kind, slot in reversed(list(zip(assigner.kinds, assigner.slots))):
         for v in reversed(slot):
             out = All(v, out) if kind == "A" else Ex(v, out)

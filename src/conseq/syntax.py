@@ -10,12 +10,10 @@ seals a structural hash and node count at construction and compares nodes
 through them.  Nodes are immutable.
 
 Deeply nested terms occur routinely (compact code literals reach hundreds of
-thousands of nodes), so no walk here recurses per node.  Substitution, the
-folds (free_vars, max_var) and the prenex rewrites in hierarchy all run
-through walk(), one explicit stack; equality, parsing, term_vars, term_value
-and the printer keep their own loops.  Only a formula-valued atom parameter
-is handled by a nested call, once per parameter.  The one formula walk left
-that recurses per connective is semantics.eval_formula.
+thousands of nodes), so no walk here recurses per node: substitution, max_var
+and the prenex rewrites run through walk(), one explicit stack, and the rest
+keep their own loops.  Only formula-valued atom parameters nest, one call per
+parameter; semantics.eval_formula still recurses once per connective.
 """
 
 from __future__ import annotations
@@ -439,15 +437,13 @@ _LEAVE = object()
 
 def walk(root: Node, ctx, enter, leave=None):
     """The one rewrite-and-fold traversal of terms and formulas, on an
-    explicit stack.
-
-    enter(node, ctx) sees each node pre-order, left to right, with its
-    top-down context, and returns (value, None) when the node is finished or
-    (shape, kids) to descend into kids, a sequence of (subnode, its ctx).
-    The node is then left post-order by leave(node, shape, kid values).  The
-    default leave rebuilds through the node contract: shape None keeps the
-    kind and leaf data (and the node itself when no kid changed), (cls, leaf)
-    builds cls(*leaf, *kids), and SPLICE stands for the one kid's value.
+    explicit stack.  enter(node, ctx) sees each node pre-order, left to right,
+    with its top-down context, and returns (value, None) when the node is
+    finished or (shape, kids) to descend into kids, a sequence of (subnode,
+    its ctx).  The node is then left post-order by leave(node, shape, kid
+    values).  The default leave rebuilds through the node contract: shape None
+    keeps the kind and leaf data (and the node itself when no kid changed),
+    (cls, leaf) builds cls(*leaf, *kids), and SPLICE gives the one kid's value.
     """
     leave = leave or _rebuild
     out: list = []
@@ -492,8 +488,7 @@ def _map_term(x: Node, m: dict):
 
 
 def _free_sets(f: Node) -> dict:
-    """id of each formula node of f, and of each atom argument and bound
-    term, -> its free variables; one bottom-up fold."""
+    """id of each formula node, atom argument and bound term -> its free variables."""
     table: dict[int, frozenset[int]] = {}
 
     def enter(x, _):
@@ -517,15 +512,26 @@ def _free_sets(f: Node) -> dict:
 
 
 def free_vars(f: Union[Formula, Term]) -> frozenset[int]:
-    """Free variable indices of a formula (or all variables of a term)."""
-    return _free_sets(f)[id(f)]
+    """Free variable indices of a formula (or all variables of a term); its own
+    loop, since eval_sentence calls it per sentence and the walk costs 2x here."""
+    out: set[int] = set()
+    stack = [(f, frozenset())]
+    while stack:
+        x, bound = stack.pop()
+        if isinstance(x, Term):
+            out |= term_vars(x) - bound
+            continue
+        inner = bound | {x.var} if isinstance(x, _Binder) else bound
+        for c in x._children():
+            stack.append((c, bound if isinstance(c, Term) else inner))
+    return frozenset(out)
 
 
 def max_var(f: Union[Formula, Term]) -> int:
     """Largest variable index occurring anywhere (bound or free); -1 if none."""
 
     def enter(x, _):
-        if isinstance(x, Term):
+        if isinstance(x, (Term, EqAtom, LeAtom, DAtom)):  # no binder below
             return max(term_vars(x), default=-1), None
         return (x.var if isinstance(x, _Binder) else -1), [(c, None) for c in x._children()]
 
@@ -703,9 +709,6 @@ class _Tok:
         self.kind = kind
         self.text = text
         self.pos = pos
-
-    def __repr__(self):
-        return f"_Tok({self.kind},{self.text!r}@{self.pos})"
 
 
 def _tokenize(s: str) -> list[_Tok]:
