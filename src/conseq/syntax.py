@@ -11,9 +11,9 @@ through them.  Nodes are immutable.
 
 Deeply nested terms occur routinely (compact code literals reach hundreds of
 thousands of nodes), so no walk here recurses per node: substitution, max_var
-and the prenex rewrites run through walk(), one explicit stack, and the rest
-keep their own loops.  Only formula-valued atom parameters nest, one call per
-parameter; semantics.eval_formula still recurses once per connective.
+and hierarchy's class fold and prenex rewrites run through walk(), one
+explicit stack, and the rest keep their own loops.  Only formula-valued atom
+parameters nest; semantics.eval_formula still recurses once per connective.
 """
 
 from __future__ import annotations
@@ -512,8 +512,8 @@ def _free_sets(f: Node) -> dict:
 
 
 def free_vars(f: Union[Formula, Term]) -> frozenset[int]:
-    """Free variable indices of a formula (or all variables of a term); its own
-    loop, since eval_sentence calls it per sentence and the walk costs 2x here."""
+    """Free variable indices of a formula (or all variables of a term).  Not a
+    walk: eval_sentence calls it per sentence, where the walk's calls cost 2x."""
     out: set[int] = set()
     stack = [(f, frozenset())]
     while stack:
