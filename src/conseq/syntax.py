@@ -50,8 +50,7 @@ class EvalError(ValueError):
 
 
 class Node:
-    """Base for terms and formulas: hash/size sealed, equality iterative,
-    repr the printed text."""
+    """Base for terms and formulas: hash/size sealed, equality iterative, repr printed."""
 
     __slots__ = ()
 
@@ -514,16 +513,18 @@ def _free_sets(f: Node) -> dict:
 def free_vars(f: Union[Formula, Term]) -> frozenset[int]:
     """Free variable indices of a formula (or all variables of a term).  Not a
     walk: eval_sentence calls it per sentence, where the walk's calls cost 2x."""
+    if isinstance(f, Term):
+        return term_vars(f)
     out: set[int] = set()
     stack = [(f, frozenset())]
     while stack:
         x, bound = stack.pop()
-        if isinstance(x, Term):
-            out |= term_vars(x) - bound
-            continue
         inner = bound | {x.var} if isinstance(x, _Binder) else bound
         for c in x._children():
-            stack.append((c, bound if isinstance(c, Term) else inner))
+            if isinstance(c, Term):
+                out |= term_vars(c) - bound
+            else:
+                stack.append((c, inner))
     return frozenset(out)
 
 
@@ -539,8 +540,7 @@ def max_var(f: Union[Formula, Term]) -> int:
 
 
 def _compose(passes) -> dict:
-    """The one variable map that the passes (v, t, vars of t), applied to a
-    term in order, amount to."""
+    """The one variable map that the passes (v, t, vars of t), in order, amount to."""
     m: dict[int, Term] = {}
     for v, t, _ in passes:
         m = {k: walk(u, {v: t}, _map_term) for k, u in m.items()}
