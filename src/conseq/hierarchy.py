@@ -94,42 +94,50 @@ def class_leq(a: ComplexityClass, b: ComplexityClass) -> bool:
 
 
 def _mins(f: Formula) -> tuple[int, int]:
-    """(least n with f in Sigma_n, least k with f in Pi_k); a fold over the
-    walk, so nesting depth is not bounded by the recursion limit."""
-    return walk(f, None, _mins_step, _mins_fold)
-
-
-def _mins_step(g, _):
-    t = type(g)
-    if t is EqAtom or t is LeAtom:
-        return (0, 0), None
-    if t is DAtom:
-        kind, level = registry.declared_class(g.name, g.params)
-        if level == 0 or kind == "Delta":
-            return (0, 0), None
-        return ((level, level + 1) if kind == "Sigma" else (level + 1, level)), None
-    if t not in _DUAL and t is not Not and t is not Imp:
-        raise TypeError(f"not a formula: {g!r}")
-    return None, [(c, None) for c in g._children() if isinstance(c, Formula)]
-
-
-def _mins_fold(g, _, kids):
-    t = type(g)
-    if t is Not:
-        return kids[0][::-1]
-    if t is And or t is Or or t is Imp:
-        (s1, p1), (s2, p2) = kids
-        if t is Imp:
-            s1, p1 = p1, s1
-        return max(s1, s2), max(p1, p2)
-    ((s, p),) = kids
-    if (t is BEx or t is BAll) and s == 0 and p == 0:
-        return 0, 0
-    if t is Ex or t is BEx:
-        s2 = max(1, min(s, p + 1))
-        return s2, s2 + 1
-    p2 = max(1, min(p, s + 1))
-    return p2 + 1, p2
+    """(least n with f in Sigma_n, least k with f in Pi_k); an iterative
+    post-order walk, so nesting depth is not bounded by the recursion limit."""
+    done: list[tuple[int, int]] = []  # results of finished subformulas
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if isinstance(g, (EqAtom, LeAtom)):
+            done.append((0, 0))
+            continue
+        if isinstance(g, DAtom):
+            kind, level = registry.declared_class(g.name, g.params)
+            if level == 0 or kind == "Delta":
+                done.append((0, 0))
+            elif kind == "Sigma":
+                done.append((level, level + 1))
+            else:
+                done.append((level + 1, level))
+            continue
+        if not isinstance(g, (Not, And, Or, Imp, All, Ex, BAll, BEx)):
+            raise TypeError(f"not a formula: {g!r}")
+        if not expanded:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(g._children()) if isinstance(c, Formula))
+            continue
+        if isinstance(g, (And, Or, Imp)):
+            s2, p2 = done.pop()
+            s1, p1 = done.pop()
+            if isinstance(g, Imp):
+                s1, p1 = p1, s1
+            done.append((max(s1, s2), max(p1, p2)))
+            continue
+        s, p = done.pop()
+        if isinstance(g, Not):
+            done.append((p, s))
+        elif isinstance(g, (BEx, BAll)) and s == 0 and p == 0:
+            done.append((0, 0))
+        elif isinstance(g, (Ex, BEx)):
+            s2 = max(1, min(s, p + 1))
+            done.append((s2, s2 + 1))
+        else:
+            p2 = max(1, min(p, s + 1))
+            done.append((p2 + 1, p2))
+    (result,) = done
+    return result
 
 
 def classify(f: Formula) -> ComplexityClass:
@@ -218,14 +226,12 @@ class _SlotAssigner:
         self.slots: list[list[int]] = [[] for _ in range(length)]
 
     def assign(self, g, ctx):
-        if isinstance(g, Term):
-            return _map_term(g, ctx)
         window, ren = ctx
+        if isinstance(g, Term):  # an atom's argument or a Delta-0 scope's bound
+            return (g if ren.keys().isdisjoint(term_vars(g)) else walk(g, ren, _map_term)), None
         t = type(g)
-        if t is And or t is Or or t is Not:
+        if t is And or t is Or or t is Not or t in _ATOMS:
             return None, [(c, ctx) for c in g._children()]
-        if t in _ATOMS:
-            return None, [(c, ren if not ren.keys().isdisjoint(term_vars(c)) else {}) for c in g._children()]
         if t is All or t is Ex:
             pos = window if self.kinds[window] == ("A" if t is All else "E") else window + 1
             assert pos < len(self.kinds), "prenex slot overflow"
@@ -240,7 +246,7 @@ class _SlotAssigner:
                 pulled = All(g.var, Or(Not(guard), g.body)) if t is BAll else Ex(g.var, And(guard, g.body))
                 return SPLICE, ((pulled, ctx),)
             inner = {k: x for k, x in ren.items() if k != g.var}
-            return None, ((g.bound, ren), (g.body, (None, inner)))
+            return None, ((g.bound, ctx), (g.body, (None, inner)))
         raise TypeError(f"unexpected in NNF: {g!r}")
 
 

@@ -10,10 +10,11 @@ seals a structural hash and node count at construction and compares nodes
 through them.  Nodes are immutable.
 
 Deeply nested terms occur routinely (compact code literals reach hundreds of
-thousands of nodes), so no walk here recurses per node: substitution, max_var
-and hierarchy's class fold and prenex rewrites run through walk(), one
-explicit stack, and the rest keep their own loops.  Only formula-valued atom
-parameters nest; semantics.eval_formula still recurses once per connective.
+thousands of nodes), so no walk here recurses per node: the rewrites
+(substitution, and hierarchy's negation normal form and prenex slotting) run
+through walk(), one explicit stack, and the folds and the printer keep loops of
+their own.  Only formula-valued atom parameters nest; semantics.eval_formula
+still recurses once per connective.
 """
 
 from __future__ import annotations
@@ -434,17 +435,16 @@ SPLICE = object()  # shape: the node is replaced by its one kid's result
 _LEAVE = object()
 
 
-def walk(root: Node, ctx, enter, leave=None):
-    """The one rewrite-and-fold traversal of terms and formulas, on an
-    explicit stack.  enter(node, ctx) sees each node pre-order, left to right,
-    with its top-down context, and returns (value, None) when the node is
-    finished or (shape, kids) to descend into kids, a sequence of (subnode,
-    its ctx).  The node is then left post-order by leave(node, shape, kid
-    values).  The default leave rebuilds through the node contract: shape None
-    keeps the kind and leaf data (and the node itself when no kid changed),
-    (cls, leaf) builds cls(*leaf, *kids), and SPLICE gives the one kid's value.
+def walk(root: Node, ctx, enter):
+    """The one rewrite traversal of terms and formulas, on an explicit stack.
+    enter(node, ctx) sees each node pre-order, left to right, with its
+    top-down context, and returns (result, None) when the node is finished or
+    (shape, kids) to descend into kids, a sequence of (subnode, its ctx).  The
+    node is then rebuilt post-order from its kids' results through the node
+    contract: shape None keeps the kind and leaf data (and the node itself when
+    no kid changed), (cls, leaf) builds cls(*leaf, *kids), and SPLICE gives
+    the one kid's result.
     """
-    leave = leave or _rebuild
     out: list = []
     stack: list = [(root, ctx)]
     while stack:
@@ -453,7 +453,7 @@ def walk(root: Node, ctx, enter, leave=None):
             node, shape, n = c
             kids = out[len(out) - n :]
             del out[len(out) - n :]
-            out.append(leave(node, shape, kids))
+            out.append(_rebuild(node, shape, kids))
             continue
         value, kids = enter(x, c)
         if kids is None:
@@ -479,40 +479,38 @@ def _map_term(x: Node, m: dict):
     """walk step: a term with each variable in m replaced by its image."""
     if type(x) is Var:
         return m.get(x.index, x), None
-    return (None, [(c, m) for c in x._children()]) if m else (x, None)
+    return None, [(c, m) for c in x._children()]
 
 
 # ---------------------------------------------------------------------------
 # Free variables and substitution
 
 
-def _free_sets(f: Node) -> dict:
-    """id of each formula node, atom argument and bound term -> its free variables."""
+def _free_sets(f: Formula) -> dict:
+    """id of each formula node, atom argument and bound term -> its free
+    variables.  In reversed breadth-first order every node follows its kids."""
+    order = [f]
+    for x in order:
+        if isinstance(x, Formula):
+            order += x._children()
     table: dict[int, frozenset[int]] = {}
-
-    def enter(x, _):
+    for x in reversed(order):
         if isinstance(x, Term):
-            s = table[id(x)] = term_vars(x)
-            return s, None
-        return None, [(c, None) for c in x._children()]
-
-    def leave(x, _, kids):
-        if isinstance(x, _Binder):
-            s = kids[-1] - {x.var}
-            if len(kids) == 2:  # a bounded quantifier's bound is outside its scope
-                s |= kids[0]
+            s = term_vars(x)
+        elif isinstance(x, _Binder):
+            s = table[id(x.body)] - {x.var}
+            if isinstance(x, _Bounded):  # the bound is outside the binder's scope
+                s |= table[id(x.bound)]
         else:
-            s = frozenset().union(*kids)
+            s = frozenset().union(*[table[id(c)] for c in x._children()])
         table[id(x)] = s
-        return s
-
-    walk(f, None, enter, leave)
     return table
 
 
 def free_vars(f: Union[Formula, Term]) -> frozenset[int]:
-    """Free variable indices of a formula (or all variables of a term).  Not a
-    walk: eval_sentence calls it per sentence, where the walk's calls cost 2x."""
+    """Free variable indices of a formula (or all variables of a term).  A
+    loop of its own: eval_sentence calls it per sentence, where the walk's
+    callbacks cost 2x."""
     if isinstance(f, Term):
         return term_vars(f)
     out: set[int] = set()
@@ -529,14 +527,19 @@ def free_vars(f: Union[Formula, Term]) -> frozenset[int]:
 
 
 def max_var(f: Union[Formula, Term]) -> int:
-    """Largest variable index occurring anywhere (bound or free); -1 if none."""
-
-    def enter(x, _):
-        if isinstance(x, (Term, EqAtom, LeAtom, DAtom)):  # no binder below
-            return max(term_vars(x), default=-1), None
-        return (x.var if isinstance(x, _Binder) else -1), [(c, None) for c in x._children()]
-
-    return walk(f, None, enter, lambda x, best, kids: max([best, *kids]))
+    """Largest variable index occurring anywhere (bound or free); -1 if none.
+    A fold with no context and no rebuild, so a plain loop over the node
+    contract, not the walk."""
+    best = -1
+    stack: list[Node] = [f]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            best = max(best, x.index)
+        elif isinstance(x, _Binder):
+            best = max(best, x.var)
+        stack.extend(x._children())
+    return best
 
 
 def _compose(passes) -> dict:
@@ -561,8 +564,6 @@ def substitute(f: Formula, v: int, t: Term) -> Formula:
     fvs = _free_sets(f)
 
     def enter(x, passes):
-        if isinstance(x, Term):
-            return _map_term(x, passes)
         fv, live = fvs[id(x)], []
         for p in passes:
             if p[0] in fv:
@@ -570,20 +571,18 @@ def substitute(f: Formula, v: int, t: Term) -> Formula:
                 fv = (fv - {p[0]}) | p[2]
         if not live:
             return x, None
+        if isinstance(x, Term):  # an atom's argument or a bound
+            return walk(x, _compose(live), _map_term), None
         if not isinstance(x, _Binder):
-            if isinstance(x, (EqAtom, LeAtom, DAtom)):
-                m = _compose(live)
-                return None, [(c, m if not m.keys().isdisjoint(fvs[id(c)]) else {}) for c in x._children()]
             return None, [(c, live) for c in x._children()]
         var, bounded = x.var, isinstance(x, _Bounded)
         body_fv = fvs[id(x.body)]
         bound_fv = fvs[id(x.bound)] if bounded else frozenset()
-        to_bound, to_body = [], []
+        to_body = []
         for p in live:
             w, u, uv = p
             in_bound = w in bound_fv
             if in_bound:
-                to_bound.append(p)
                 bound_fv = (bound_fv - {w}) | uv
             in_body = var != w and w in body_fv
             # u would be captured in the body, or land in the bound beside the binder
@@ -601,7 +600,7 @@ def substitute(f: Formula, v: int, t: Term) -> Formula:
                 body_fv = (body_fv - {w}) | uv
         kids = [(x.body, to_body)]
         if bounded:
-            kids.insert(0, (x.bound, _compose(to_bound)))
+            kids.insert(0, (x.bound, live))
         return (None if var == x.var else (type(x), (var,))), kids
 
     return walk(f, ((v, t, term_vars(t)),), enter)
@@ -669,10 +668,12 @@ def _emit(root: Node) -> str:
         kids = x._children()
         if len(kids) == 2:
             stack += (tail, kids[1], sep, kids[0])
-        elif kids:
+            continue
+        if tail:  # also a zero-argument atom's ")"
             stack.append(tail)
-            for k in kids[:0:-1]:
-                stack += (k, sep)
+        for k in kids[:0:-1]:
+            stack += (k, sep)
+        if kids:
             stack.append(kids[0])
     return "".join(parts)
 
@@ -709,6 +710,9 @@ class _Tok:
         self.kind = kind
         self.text = text
         self.pos = pos
+
+    def __repr__(self):
+        return f"_Tok({self.kind},{self.text!r}@{self.pos})"
 
 
 def _tokenize(s: str) -> list[_Tok]:

@@ -34,6 +34,7 @@ from conseq.syntax import (
     free_vars,
     max_var,
     numeral,
+    parse_formula,
     print_formula,
     substitute,
 )
@@ -84,6 +85,17 @@ WALK_DIGESTS = {
 
 def test_walk_digests():
     assert _digests() == WALK_DIGESTS
+
+
+@pytest.mark.parametrize("text", ["P()", "F[1]()", "(P()->Q())", "~F[{Q()}]()", "F[{R()}](x0,0)"])
+def test_zero_argument_atoms_print_and_parse_back(text):
+    f = parse_formula(text)
+    assert print_formula(f) == repr(f) == text
+    assert parse_formula(print_formula(f)) == f
+
+
+def test_repr_of_a_zero_argument_atom():
+    assert repr(DAtom("P", (), ())) == "P()"
 
 
 # ---------------------------------------------------------------------------
