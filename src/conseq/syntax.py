@@ -111,15 +111,6 @@ class Formula(Node):
     __slots__ = ()
 
 
-class _Pair(Node):
-    """A kind whose subnodes are its left and right fields."""
-
-    __slots__ = ()
-
-    def _children(self):
-        return (self.left, self.right)
-
-
 @_node
 class Var(Term):
     index: int
@@ -147,15 +138,21 @@ class Succ(Term):
 
 
 @_node
-class Add(_Pair, Term):
+class Add(Term):
     left: Term
     right: Term
+
+    def _children(self):
+        return (self.left, self.right)
 
 
 @_node
-class Mul(_Pair, Term):
+class Mul(Term):
     left: Term
     right: Term
+
+    def _children(self):
+        return (self.left, self.right)
 
 
 @_node
@@ -168,15 +165,21 @@ class Exp(Term):
 
 
 @_node
-class EqAtom(_Pair, Formula):
+class EqAtom(Formula):
     left: Term
     right: Term
+
+    def _children(self):
+        return (self.left, self.right)
 
 
 @_node
-class LeAtom(_Pair, Formula):
+class LeAtom(Formula):
     left: Term
     right: Term
+
+    def _children(self):
+        return (self.left, self.right)
 
 
 @_node
@@ -243,30 +246,36 @@ class Not(Formula):
 
 
 @_node
-class And(_Pair, Formula):
+class And(Formula):
     left: Formula
     right: Formula
+
+    def _children(self):
+        return (self.left, self.right)
 
 
 @_node
-class Or(_Pair, Formula):
+class Or(Formula):
     left: Formula
     right: Formula
+
+    def _children(self):
+        return (self.left, self.right)
 
 
 @_node
-class Imp(_Pair, Formula):
+class Imp(Formula):
     left: Formula
     right: Formula
+
+    def _children(self):
+        return (self.left, self.right)
 
 
 class _Binder(Formula):
     """A quantifier: its bound variable index is its leaf data."""
 
     __slots__ = ()
-
-    def _children(self):
-        return (self.body,)
 
     def _leaf_key(self):
         return (self.var,)
@@ -277,11 +286,17 @@ class All(_Binder):
     var: int
     body: Formula
 
+    def _children(self):
+        return (self.body,)
+
 
 @_node
 class Ex(_Binder):
     var: int
     body: Formula
+
+    def _children(self):
+        return (self.body,)
 
 
 class _Bounded(_Binder):
@@ -631,10 +646,11 @@ def _atom_head(x: DAtom) -> str:
     return x.name + ("[" + ",".join(map(_param_text, x.params)) + "](" if x.params else "(")
 
 
-# kind -> (head, separator between children, tail); a head that shows leaf data is a function of the node
+# kind -> (head, separator between children, tail); a head that shows leaf
+# data is a function of the node, and tail None marks a kind with no children
 _FORMAT = {
-    Zero: ("0", "", ""),
-    Var: (lambda x: f"x{x.index}", "", ""),
+    Zero: ("0", None, None),
+    Var: (lambda x: f"x{x.index}", None, None),
     Succ: ("S(", "", ")"),
     Add: ("(", "+", ")"),
     Mul: ("(", "*", ")"),
@@ -664,6 +680,8 @@ def _emit(root: Node) -> str:
             continue
         head, sep, tail = _FORMAT[type(x)]
         parts.append(head if type(head) is str else head(x))
+        if tail is None:
+            continue
         # pushed in reverse: the tail, then the kids with sep between them
         kids = x._children()
         if len(kids) == 2:
