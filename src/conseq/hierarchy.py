@@ -93,9 +93,10 @@ def class_leq(a: ComplexityClass, b: ComplexityClass) -> bool:
 # (sigma_min, pi_min) computation
 
 
-def _mins(f: Formula) -> tuple[int, int]:
+def _mins(f: Formula, scopes: Optional[dict] = None) -> tuple[int, int]:
     """(least n with f in Sigma_n, least k with f in Pi_k); an iterative
-    post-order walk, so nesting depth is not bounded by the recursion limit."""
+    post-order walk, so nesting depth is not bounded by the recursion limit.
+    scopes, if given, maps the id of each unary node to its scope's pair."""
     done: list[tuple[int, int]] = []  # results of finished subformulas
     stack: list[tuple[Formula, bool]] = [(f, False)]
     while stack:
@@ -126,6 +127,8 @@ def _mins(f: Formula) -> tuple[int, int]:
             done.append((max(s1, s2), max(p1, p2)))
             continue
         s, p = done.pop()
+        if scopes is not None:
+            scopes[id(g)] = (s, p)
         if isinstance(g, Not):
             done.append((p, s))
         elif isinstance(g, (BEx, BAll)) and s == 0 and p == 0:
@@ -219,11 +222,12 @@ class _SlotAssigner:
     pulled binder's variable to its fresh one, and window None marks a
     Delta-0 bounded scope, which stays in the matrix and is only renamed."""
 
-    def __init__(self, first: str, length: int, fresh: Iterator[int]):
+    def __init__(self, first: str, length: int, fresh: Iterator[int], scopes: dict):
         other = "A" if first == "E" else "E"
         self.kinds = [(first, other)[i % 2] for i in range(length)]
         self.fresh = fresh
         self.slots: list[list[int]] = [[] for _ in range(length)]
+        self.scopes = scopes  # _mins of each NNF quantifier's scope, by id
 
     def assign(self, g, ctx):
         window, ren = ctx
@@ -239,7 +243,7 @@ class _SlotAssigner:
             self.slots[pos].append(nv)
             return SPLICE, ((g.body, (pos, {**ren, g.var: Var(nv)})),)
         if t is BAll or t is BEx:
-            if window is not None and _mins(g.body) != (0, 0):
+            if window is not None and self.scopes[id(g)] != (0, 0):
                 # a scope above Delta-0 is pulled in guarded form (it raises
                 # the class exactly like an unbounded quantifier)
                 guard = LeAtom(Var(g.var), g.bound)
@@ -257,9 +261,10 @@ def prenex(f: Formula) -> Formula:
     if not _has_unbounded(rest):
         return f  # already prenex
     nnf = _nnf(f, False)
-    s, p = _mins(nnf)
+    scopes: dict = {}
+    s, p = _mins(nnf, scopes)
     first, length = ("E", s) if s <= p else ("A", p)
-    assigner = _SlotAssigner(first, max(length, 1), itertools.count(max_var(f) + 1))
+    assigner = _SlotAssigner(first, max(length, 1), itertools.count(max_var(f) + 1), scopes)
     out = walk(nnf, (0, {}), assigner.assign)
     for kind, slot in reversed(list(zip(assigner.kinds, assigner.slots))):
         for v in reversed(slot):

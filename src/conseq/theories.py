@@ -4,6 +4,8 @@ A presentation is a named elementary axiom-defining formula together with a
 deterministic meta-level axiom stream and a machine code (the Goedel code of
 its enumerator description).  Schematic membership (induction, collection)
 is decided by shape-parsing candidates, never by searching the stream.
+The standard theories are named Q, ZFstub, EA, PA, BSigma<n> and ISigma<n>,
+where n is written in ASCII digits (leading zeros allowed).
 
 Designated atoms carry the arithmetization weight: Prf-family atoms are
 backed by the proof checker, True-family atoms by budgeted evaluation, and the
@@ -15,8 +17,9 @@ classification, fixed points, and standard-model truth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import coding, gen, refs
 from .coding import Proof, Step
@@ -123,41 +126,6 @@ def _exp_axioms() -> list[Formula]:
     ]
 
 
-def _zf_markers() -> list[Formula]:
-    return [DAtom("ZfAx", (i,), ()) for i in range(10)]
-
-
-_Q_AXIOMS = _q_axioms()
-_EXP_AXIOMS = _exp_axioms()
-_ZF_MARKERS = _zf_markers()
-_EA_FIXED = _Q_AXIOMS + _EXP_AXIOMS
-
-
-def _ea_axiom(i: int) -> Formula:
-    if i < len(_EA_FIXED):
-        return _EA_FIXED[i]
-    return gen.induction_instance(gen.delta0_matrix(i - len(_EA_FIXED)))
-
-
-def _interleave(even: Callable[[int], Formula], odd: Callable[[int], Formula]) -> Callable[[int], Formula]:
-    def enum(i: int) -> Formula:
-        return even(i // 2) if i % 2 == 0 else odd(i // 2)
-
-    return enum
-
-
-def collection_axiom(n: int, i: int) -> Formula:
-    return gen.collection_instance(gen.class_formula("Sigma", n, i))
-
-
-def induction_axiom(n: int, i: int) -> Formula:
-    return gen.induction_instance(gen.class_formula("Sigma", n, i))
-
-
-def _pa_axiom_odd(i: int) -> Formula:
-    return gen.induction_instance(gen.class_formula("Sigma", i % 4, i // 4))
-
-
 # ---------------------------------------------------------------------------
 # Schema-instance recognizers (shape-parse then rebuild and compare)
 
@@ -197,69 +165,83 @@ def match_collection(f: Formula) -> Optional[Formula]:
     return phi if rebuilt == f else None
 
 
-def _name_level(name: str, prefix: str) -> Optional[int]:
-    if name.startswith(prefix) and name[len(prefix) :].isdigit():
-        return int(name[len(prefix) :])
-    return None
+# ---------------------------------------------------------------------------
+# Standard presentations: one declaration per name family
+
+
+class _Family(NamedTuple):
+    """A name family: its fixed axioms, enumerated before its schema (None:
+    EA's stream at even positions, the schema at odd ones); the schema's
+    instance builder, recognizer and matrix stream at level n."""
+
+    fixed: Optional[list[Formula]]
+    schema: Optional[Callable[[Formula], Formula]] = None
+    match: Optional[Callable[[Formula], Optional[Formula]]] = None  # an instance's matrix, or None
+    matrix: Callable[[int, int], Formula] = functools.partial(gen.class_formula, "Sigma")  # (n, i) -> i-th
+    bounded: bool = False  # member matrices classify at most Sigma(n)
+    levelled: bool = False  # names are the family name followed by n
+
+    def instance(self, n: int, i: int) -> Formula:
+        return self.schema(self.matrix(n, i))
+
+
+_Q_AXIOMS = _q_axioms()
+_FAMILIES = {
+    "Q": _Family(_Q_AXIOMS),
+    "ZFstub": _Family([DAtom("ZfAx", (i,), ()) for i in range(10)]),
+    "EA": _Family(_Q_AXIOMS + _exp_axioms(), gen.induction_instance, match_induction, bounded=True),
+    "PA": _Family(None, gen.induction_instance, match_induction, lambda n, i: gen.class_formula("Sigma", i % 4, i // 4)),
+    "BSigma": _Family(None, gen.collection_instance, match_collection, bounded=True, levelled=True),
+    "ISigma": _Family(None, gen.induction_instance, match_induction, bounded=True, levelled=True),
+}
+
+
+@coding.cached
+def _standard_name(name: str) -> tuple[_Family, int]:
+    """Family and level of a standard theory name: Q, ZFstub, EA, PA, or
+    BSigma<n> and ISigma<n> with n in ASCII digits."""
+    head = name.rstrip("0123456789")
+    fam = _FAMILIES.get(head)
+    if fam is None or fam.levelled != (head != name):
+        raise TheoryError(f"unknown theory name {name!r}")
+    return fam, int(name[len(head) :] or 0)
+
+
+def _stream(fam: _Family, n: int) -> Callable[[int], Formula]:
+    if fam.schema is None:
+        return fam.fixed.__getitem__
+    if fam.fixed is None:
+        ea = _stream(_FAMILIES["EA"], 0)
+        return lambda i: fam.instance(n, i // 2) if i % 2 else ea(i // 2)
+    k = len(fam.fixed)
+    return lambda i: fam.fixed[i] if i < k else fam.instance(n, i - k)
 
 
 def member_of_named(name: str, f: Formula) -> bool:
     """Exact schematic membership for the standard presentations."""
-    if name == "Q":
-        return f in _Q_AXIOMS
-    if name == "ZFstub":
-        return f in _ZF_MARKERS
-    if name == "EA":
-        if f in _EA_FIXED:
-            return True
-        phi = match_induction(f)
-        return phi is not None and classify(phi).kind == "Delta"
-    n = _name_level(name, "BSigma")
-    if n is not None:
+    fam, n = _standard_name(name)
+    if fam.fixed is None:
         if member_of_named("EA", f):
             return True
-        phi = match_collection(f)
-        return phi is not None and class_leq(classify(phi), Sigma(n))
-    n = _name_level(name, "ISigma")
-    if n is not None:
-        if member_of_named("EA", f):
-            return True
-        phi = match_induction(f)
-        return phi is not None and class_leq(classify(phi), Sigma(n))
-    if name == "PA":
-        if member_of_named("EA", f):
-            return True
-        return match_induction(f) is not None
-    raise TheoryError(f"unknown theory name {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Standard presentations
+    elif f in fam.fixed:
+        return True
+    phi = None if fam.match is None else fam.match(f)
+    return phi is not None and (not fam.bounded or class_leq(classify(phi), Sigma(n)))
 
 
 @coding.cached
 def standard_theory(name: str) -> TheoryPresentation:
     """Q, EA, PA, ZFstub, BSigma<n>, ISigma<n>."""
+    fam, n = _standard_name(name)
     ref = refs.Named(name)
-    mc = coding.encode_ref(ref)
     ax = DAtom("AxOf", (name,), (Var(0),))
-    if name == "Q":
-        return TheoryPresentation(name, ref, ax, lambda i: _Q_AXIOMS[i], mc, finite_size=8)
-    elif name == "ZFstub":
-        return TheoryPresentation(name, ref, ax, lambda i: _ZF_MARKERS[i], mc, finite_size=10)
-    elif name == "EA":
-        return TheoryPresentation(name, ref, ax, _ea_axiom, mc)
-    elif name == "PA":
-        return TheoryPresentation(name, ref, ax, _interleave(_ea_axiom, _pa_axiom_odd), mc)
-    elif (n := _name_level(name, "BSigma")) is not None:
-        return TheoryPresentation(
-            name, ref, ax, _interleave(_ea_axiom, lambda i, n=n: collection_axiom(n, i)), mc
-        )
-    elif (n := _name_level(name, "ISigma")) is not None:
-        return TheoryPresentation(
-            name, ref, ax, _interleave(_ea_axiom, lambda i, n=n: induction_axiom(n, i)), mc
-        )
-    raise TheoryError(f"unknown theory name {name!r}")
+    fin = len(fam.fixed) if fam.schema is None else None
+    return TheoryPresentation(name, ref, ax, _stream(fam, n), coding.encode_ref(ref), fin)
+
+
+def _insert(stream: Callable[[int], Formula], pos: int, sentence: Formula) -> Callable[[int], Formula]:
+    """stream with sentence enumerated at position pos."""
+    return lambda i: stream(i) if i < pos else sentence if i == pos else stream(i - 1)
 
 
 def extend(base: TheoryPresentation, phi: Formula) -> TheoryPresentation:
@@ -273,11 +255,8 @@ def extend(base: TheoryPresentation, phi: Formula) -> TheoryPresentation:
     if len(label) > 32:
         label = label[:29] + "..."
     axf = Or(base.axiom_formula, EqAtom(Var(0), code_literal(code)))
-
-    def enum(i: int, base=base, phi=phi) -> Formula:
-        return phi if i == 0 else base.enumerator(i - 1)
-
     fin = None if base.finite_size is None else base.finite_size + 1
+    enum = _insert(base.enumerator, 0, phi)
     return TheoryPresentation(f"{base.name}+[{label}]", ref, axf, enum, coding.encode_ref(ref), fin)
 
 
@@ -390,14 +369,7 @@ def m_omega_theory(m: int, T: TheoryPresentation) -> TheoryPresentation:
     sent = m_omega_sentence(m, T)
     ref = refs.MOmega(m, T.ref)
     axf = Or(isig.axiom_formula, EqAtom(Var(0), code_literal(coding.encode(sent))))
-
-    def enum(i: int) -> Formula:
-        if i == 0:
-            return isig.enumerator(0)
-        if i == 1:
-            return sent
-        return isig.enumerator(i - 1)
-
+    enum = _insert(isig.enumerator, 1, sent)
     return TheoryPresentation(f"momega({m},{T.name})", ref, axf, enum, coding.encode_ref(ref))
 
 
@@ -476,14 +448,12 @@ def ncon_machine_of(m: int, idx_term: Term, top: int) -> Formula:
 
 def marker_sentence(base_name: str) -> Formula:
     """Canonical single axiom standing in for 'proves the base theory' in the
-    DS blocks: the base's first schema-specific axiom (its first enumerated
-    axiom for finite presentations)."""
-    n = _name_level(base_name, "BSigma")
-    if n is not None:
-        return collection_axiom(n, 0)
-    n = _name_level(base_name, "ISigma")
-    if n is not None:
-        return induction_axiom(n, 0)
+    DS blocks: the first schema instance of BSigma<n> and ISigma<n>, and the
+    first enumerated axiom of every other standard theory (for EA and PA
+    that is Q's injectivity of successor)."""
+    fam, n = _standard_name(base_name)
+    if fam.levelled:
+        return fam.instance(n, 0)
     return standard_theory(base_name).enumerator(0)
 
 
@@ -503,15 +473,7 @@ def machine_stream(code: int) -> Callable[[int], Formula]:
     if len(fv) != 1:
         raise TheoryError("substituted slice formula is not unary")
     sent = ncon_of_numerated(level, union_unary(f"BSigma{level}", unary))
-
-    def enum(i: int) -> Formula:
-        if i < 3:
-            return base.enumerator(i)
-        if i == 3:
-            return sent
-        return base.enumerator(i - 1)
-
-    return enum
+    return _insert(base.enumerator, 3, sent)
 
 
 def toy_inconsistent_theory() -> tuple[TheoryPresentation, Proof]:
@@ -522,9 +484,8 @@ def toy_inconsistent_theory() -> tuple[TheoryPresentation, Proof]:
     code = coding.encode(bot)
     ref = refs.Ext(refs.Named("Q"), code)
     axf = EqAtom(Var(0), code_literal(code))
-    pres = TheoryPresentation(
-        "Toy!", ref, axf, lambda i: bot if i == 0 else _Q_AXIOMS[i - 1], coding.encode_ref(ref)
-    )
+    enum = _insert(_Q_AXIOMS.__getitem__, 0, bot)
+    pres = TheoryPresentation("Toy!", ref, axf, enum, coding.encode_ref(ref), len(_Q_AXIOMS) + 1)
     proof = Proof((Step(bot, ("axiom",)), Step(bot, ("axiom",))))
     return pres, proof
 

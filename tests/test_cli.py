@@ -214,3 +214,9 @@ def test_craig_count_past_a_finite_base_is_a_domain_error():
     assert _run(["craig", "--base", "ZFstub", "--count", "11"]) == (1, "error: ZFstub has only 10 axioms\n")
     code, text = _run(["craig", "--base", "Q", "--count", "8"])
     assert code == 0 and text.endswith("axiom 7 certificates ok\n")
+
+
+@pytest.mark.parametrize("name", ["ISigma\u00b2", "BSigma\u0663", "Foo"])
+def test_eval_axiom_of_an_unknown_theory_is_false(name):
+    lit = print_term(code_literal(coding.encode(parse_formula("0=0"))))
+    assert _run(["eval", "--budget", "3", f"AxOf[{name}]({lit})"]) == (0, "false\n")

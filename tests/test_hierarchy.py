@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conseq import hierarchy
 from conseq.gen import class_formula, random_formula
 from conseq.hierarchy import (
     Delta0,
@@ -163,3 +164,21 @@ def test_is_elementary():
     assert is_elementary(parse_formula("E x1<=x0. x1=x0"))
     assert not is_elementary(parse_formula("E x1. x1=x0"))
     assert is_elementary(DAtom("AxOf", ("EA",), (Var(0),)))
+
+
+def _mins_work(monkeypatch, n):
+    """Total size of the formulas hierarchy._mins visits in one prenex of n
+    nested bounded universals over a Sigma-1 body."""
+    f = Ex(0, EqAtom(Var(0), Var(1)))
+    for _ in range(n):
+        f = BAll(2, Var(1), f)
+    mins, seen = hierarchy._mins, []
+    monkeypatch.setattr(hierarchy, "_mins", lambda g, *rest: seen.append(g.size) or mins(g, *rest))
+    prenex(f)
+    monkeypatch.setattr(hierarchy, "_mins", mins)
+    return sum(seen)
+
+
+def test_prenex_is_linear_in_bounded_nesting(monkeypatch):
+    # classifying each bounded scope afresh made the work quadratic (ratio 4)
+    assert _mins_work(monkeypatch, 400) / _mins_work(monkeypatch, 200) < 2.5

@@ -2,7 +2,7 @@ import pytest
 
 from conseq import coding
 from conseq.hierarchy import Delta0, Pi, Sigma, classify, is_elementary
-from conseq.semantics import TRUE, eval_formula
+from conseq.semantics import FALSE, TRUE, axiom_membership, eval_formula
 from conseq.syntax import (
     All,
     And,
@@ -26,6 +26,8 @@ from conseq.theories import (
     m_omega_sentence,
     m_omega_theory,
     machine_stream,
+    marker_sentence,
+    member_of_named,
     ncon_formula,
     ncon_of_slice,
     pr_formula,
@@ -34,6 +36,7 @@ from conseq.theories import (
     rfn_gamma_formula,
     rfn_instance_for_ref,
     standard_theory,
+    toy_inconsistent_theory,
     truth_predicate,
 )
 
@@ -305,3 +308,30 @@ def test_export_record():
     assert rec["name"] == "Q"
     assert len(rec["first_axioms"]) == 3
     assert rec["machine_code"] == str(q.machine_code)
+
+
+# levels are ASCII digits: a superscript two and an Arabic-Indic three are
+# digits to str.isdigit, but these names denote no theory
+@pytest.mark.parametrize("name", ["ISigma\u00b2", "BSigma\u0663", "ISigma", "EA1", "Foo"])
+def test_unknown_theory_names(name):
+    f = parse_formula("0=0")
+    with pytest.raises(TheoryError):
+        standard_theory(name)
+    with pytest.raises(TheoryError):
+        member_of_named(name, f)
+    with pytest.raises(TheoryError):
+        marker_sentence(name)
+    assert axiom_membership(name, f, 3) == FALSE
+
+
+def test_leading_zeros_in_a_level():
+    i01, i1 = standard_theory("ISigma01"), standard_theory("ISigma1")
+    assert i01.name == "ISigma01" and i01.axioms(12) == i1.axioms(12)
+    assert marker_sentence("ISigma01") == marker_sentence("ISigma1")
+    assert all(member_of_named("ISigma01", a) for a in i1.axioms(12))
+
+
+def test_toy_theory_is_finite():
+    toy, _ = toy_inconsistent_theory()
+    assert toy.finite_size == 9
+    assert toy.axioms(20) == [falsum()] + standard_theory("Q").axioms(8)
