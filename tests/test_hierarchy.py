@@ -167,7 +167,7 @@ def test_is_elementary():
 
 
 def _mins_work(monkeypatch, n):
-    """Total size of the formulas hierarchy._mins visits in one prenex of n
+    """Total size of the formulas passed to hierarchy._mins in one prenex of n
     nested bounded universals over a Sigma-1 body."""
     f = Ex(0, EqAtom(Var(0), Var(1)))
     for _ in range(n):
