@@ -124,33 +124,22 @@ def kleene_or(a: TV3, b: TV3) -> TV3:
 
 def _infer_witness(body: Formula, v: int, instance: Formula) -> Optional[Term]:
     """Find t with instance == substitute(body, v, t), if any."""
-    if v not in free_vars(body):
-        return ZERO if instance == body else None
     # read off the term aligned with the first free occurrence of v, walking
-    # body and instance in step on an explicit stack of node pairs
-    t = None
-    stack = [(body, instance, frozenset())]
+    # body and instance in step on an explicit stack of node pairs; v is not
+    # free below a binder of v, whose bound cannot hold v either
+    stack = [(body, instance)]
     while stack:
-        b, inst, bound = stack.pop()
-        if isinstance(b, Var) and b.index == v and v not in bound:
-            if isinstance(inst, Term):
-                t = inst
-                break
-            continue
+        b, inst = stack.pop()
+        if isinstance(b, Var) and b.index == v:
+            if not isinstance(inst, Term):
+                continue
+            return inst if substitute(body, v, inst) == instance else None
         bc, ic = b._children(), inst._children()
-        if type(b) is not type(inst) or len(bc) != len(ic):
+        if type(b) is not type(inst) or len(bc) != len(ic) or (isinstance(b, (All, Ex, BAll, BEx)) and b.var == v):
             continue
-        if isinstance(b, (All, Ex, BAll, BEx)):
-            bound = bound | {b.var}
-        stack.extend((x, y, bound) for x, y in reversed(tuple(zip(bc, ic))))
-    if t is None:
-        return None
-    try:
-        if substitute(body, v, t) == instance:
-            return t
-    except ValueError:
-        return None
-    return None
+        stack.extend(zip(reversed(bc), reversed(ic)))
+    # no free occurrence of v lines up with a term
+    return ZERO if v not in free_vars(body) and instance == body else None
 
 
 def match_scheme(scheme: str, f: Formula) -> bool:
@@ -677,24 +666,25 @@ def _numeral_height(t: Term) -> Optional[int]:
 def _matches_numeral_subst(inst: Formula, base: Formula, fv: list[int], vals: list[int]) -> bool:
     """inst == base with numerals of vals substituted for fv, checked without
     materializing huge numerals."""
-    mapping = dict(zip(fv, vals))
-    # base and inst in step, on an explicit stack of node pairs
-    stack = [(base, inst, frozenset())]
+    # base and inst in step, on an explicit stack of node pairs, each with the
+    # part of the mapping still free there: a binder drops its variable
+    stack = [(base, inst, dict(zip(fv, vals)))]
     while stack:
-        b, i, bound = stack.pop()
-        if isinstance(b, Var) and b.index in mapping and b.index not in bound:
+        b, i, mapping = stack.pop()
+        if type(b) is Var and b.index in mapping:
             if not isinstance(i, Term) or _numeral_height(i) != mapping[b.index]:
                 return False
             continue
         # leaf keys: a variable's index, an atom's name and params, a binder's var
         if type(b) is not type(i) or b._leaf_key() != i._leaf_key():
             return False
-        if isinstance(b, (All, Ex, BAll, BEx)):
-            bound = bound | {b.var}
+        if isinstance(b, (All, Ex, BAll, BEx)) and b.var in mapping:
+            mapping = mapping.copy()
+            del mapping[b.var]
         bc, ic = b._children(), i._children()
         if len(bc) != len(ic):
             return False
-        stack.extend((x, y, bound) for x, y in zip(bc, ic))
+        stack.extend(zip(bc, ic, [mapping] * len(bc)))
     return True
 
 

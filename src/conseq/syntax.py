@@ -13,8 +13,10 @@ Deeply nested terms occur routinely (compact code literals reach hundreds of
 thousands of nodes), so no walk here recurses per node: the rewrites
 (substitution, and hierarchy's negation normal form and prenex slotting) run
 through walk(), one explicit stack, and the folds and the printer keep loops of
-their own.  Only formula-valued atom parameters nest; semantics.eval_formula
-still recurses once per connective.
+their own.  Binder-aware walks are linear in binder nesting: free_vars keeps
+one bound set, changed in place, and substitute folds free variables only
+under a binder that may capture.  Only formula-valued atom parameters nest;
+semantics.eval_formula still recurses once per connective.
 """
 
 from __future__ import annotations
@@ -501,14 +503,14 @@ def _map_term(x: Node, m: dict):
 # Free variables and substitution
 
 
-def _free_sets(f: Formula) -> dict:
-    """id of each formula node, atom argument and bound term -> its free
-    variables.  In reversed breadth-first order every node follows its kids."""
+def _free_sets(f: Formula, table: dict) -> None:
+    """Fill table with id -> free variables of f and of each formula node,
+    atom argument and bound term under it.  In reversed breadth-first order
+    every node follows its kids."""
     order = [f]
     for x in order:
         if isinstance(x, Formula):
             order += x._children()
-    table: dict[int, frozenset[int]] = {}
     for x in reversed(order):
         if isinstance(x, Term):
             s = term_vars(x)
@@ -519,25 +521,34 @@ def _free_sets(f: Formula) -> dict:
         else:
             s = frozenset().union(*[table[id(c)] for c in x._children()])
         table[id(x)] = s
-    return table
 
 
 def free_vars(f: Union[Formula, Term]) -> frozenset[int]:
     """Free variable indices of a formula (or all variables of a term).  A
-    loop of its own: eval_sentence calls it per sentence, where the walk's
-    callbacks cost 2x."""
-    if isinstance(f, Term):
-        return term_vars(f)
+    loop of its own, with one bound set changed in place: a binder counts its
+    variable in, and the int it pushes under its body counts it out."""
     out: set[int] = set()
-    stack = [(f, frozenset())]
+    bound: dict[int, int] = {}  # index -> binders of it around the node
+    stack: list = [f]
     while stack:
-        x, bound = stack.pop()
-        inner = bound | {x.var} if isinstance(x, _Binder) else bound
-        for c in x._children():
-            if isinstance(c, Term):
-                out |= term_vars(c) - bound
+        x = stack.pop()
+        if isinstance(x, Term):
+            if type(x) is Var:
+                if x.index not in bound:
+                    out.add(x.index)
             else:
-                stack.append((c, inner))
+                stack.extend(x._children())
+        elif type(x) is int:  # leaving a binder of x
+            n = bound.pop(x) - 1
+            if n:
+                bound[x] = n
+        elif isinstance(x, _Binder):
+            bound[x.var] = bound.get(x.var, 0) + 1
+            if isinstance(x, _Bounded):  # popped after leaving: outside the scope
+                stack.append(x.bound)
+            stack += (x.var, x.body)
+        else:
+            stack.extend(x._children())
     return frozenset(out)
 
 
@@ -557,65 +568,62 @@ def max_var(f: Union[Formula, Term]) -> int:
     return best
 
 
-def _compose(passes) -> dict:
-    """The one variable map that the passes (v, t, vars of t), in order, amount to."""
-    m: dict[int, Term] = {}
-    for v, t, _ in passes:
-        m = {k: walk(u, {v: t}, _map_term) for k, u in m.items()}
-        m.setdefault(v, t)
-    return m
-
-
 def substitute(f: Formula, v: int, t: Term) -> Formula:
     """Capture-avoiding substitution of term t for free variable v in f.
 
-    Bound variables are renamed to fresh indices when t's variables would be
-    captured.  A renaming is a substitution into the binder's body, so each
-    node carries the passes (v, t, vars of t) to apply to it in order; free
-    variables are folded once, and a node no pass reaches is kept as it is.
+    Each node carries the passes (v, t, vars of t) to apply to it in order: a
+    term applies each pass whose variable it holds, and a binder drops the
+    passes of its own variable from its body.  Only at a binder whose
+    variable occurs in some pass's term are free variables folded, once per
+    subtree and call; there a binder that would capture is renamed to a
+    fresh index, and the renaming is one more pass into its body.
     """
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula: {f!r}")
-    fvs = _free_sets(f)
+    fvs: dict = {}
 
     def enter(x, passes):
-        fv, live = fvs[id(x)], []
-        for p in passes:
-            if p[0] in fv:
-                live.append(p)
-                fv = (fv - {p[0]}) | p[2]
-        if not live:
+        if not passes:
             return x, None
         if isinstance(x, Term):  # an atom's argument or a bound
-            return walk(x, _compose(live), _map_term), None
+            vs = term_vars(x)
+            for w, u, uv in passes:
+                if w in vs:
+                    x, vs = walk(x, {w: u}, _map_term), (vs - {w}) | uv
+            return x, None
         if not isinstance(x, _Binder):
-            return None, [(c, live) for c in x._children()]
-        var, bounded = x.var, isinstance(x, _Bounded)
-        body_fv = fvs[id(x.body)]
-        bound_fv = fvs[id(x.bound)] if bounded else frozenset()
-        to_body = []
-        for p in live:
-            w, u, uv = p
-            in_bound = w in bound_fv
-            if in_bound:
-                bound_fv = (bound_fv - {w}) | uv
-            in_body = var != w and w in body_fv
-            # u would be captured in the body, or land in the bound beside the binder
-            if var in uv and (in_body or in_bound):
-                # rename the binder to avoid capture, past the bound's variables
-                nv = max(uv | body_fv | {w, var}) + 1
-                while nv in bound_fv:
-                    nv += 1
-                if var in body_fv:
-                    to_body.append((var, Var(nv), frozenset({nv})))
-                    body_fv = (body_fv - {var}) | {nv}
-                var = nv
-            if in_body:
-                to_body.append(p)
-                body_fv = (body_fv - {w}) | uv
+            return None, [(c, passes) for c in x._children()]
+        var, bounded, tabled = x.var, isinstance(x, _Bounded), id(x) in fvs
+        if not tabled and all(var not in p[2] for p in passes):  # nothing can be captured here
+            to_body = [p for p in passes if p[0] != var]
+        else:
+            if not tabled:  # once for the whole subtree
+                _free_sets(x, fvs)
+            body_fv = fvs[id(x.body)]
+            bound_fv = fvs[id(x.bound)] if bounded else frozenset()
+            to_body = []
+            for p in passes:  # a pass whose variable is not free here changes nothing
+                w, u, uv = p
+                in_bound = w in bound_fv
+                if in_bound:
+                    bound_fv = (bound_fv - {w}) | uv
+                in_body = var != w and w in body_fv
+                # u would be captured in the body, or land in the bound beside the binder
+                if var in uv and (in_body or in_bound):
+                    # rename the binder to avoid capture, past the bound's variables
+                    nv = max(uv | body_fv | {w, var}) + 1
+                    while nv in bound_fv:
+                        nv += 1
+                    if var in body_fv:
+                        to_body.append((var, Var(nv), frozenset({nv})))
+                        body_fv = (body_fv - {var}) | {nv}
+                    var = nv
+                if in_body:
+                    to_body.append(p)
+                    body_fv = (body_fv - {w}) | uv
         kids = [(x.body, to_body)]
         if bounded:
-            kids.insert(0, (x.bound, live))
+            kids.insert(0, (x.bound, passes))
         return (None if var == x.var else (type(x), (var,))), kids
 
     return walk(f, ((v, t, term_vars(t)),), enter)
