@@ -238,9 +238,6 @@ def _ser_node(node, out: bytearray) -> None:
     stack = [node]
     while stack:
         x = stack.pop()
-        if isinstance(x, tuple):  # deferred raw bytes
-            out += x[0]
-            continue
         if isinstance(x, Zero):
             out.append(T_ZERO)
         elif isinstance(x, Var):
