@@ -64,10 +64,7 @@ def _load_registered(text: str):
     while stack:
         x = stack.pop()
         if isinstance(x, DAtom):
-            try:
-                registry.get_family(x.name)
-            except KeyError as e:
-                raise DomainError(e.args[0]) from None
+            registry.get_family(x.name)  # UnknownAtom, a ValueError, if unregistered
             stack.extend(p for p in x.params if isinstance(p, Formula))
         else:
             stack.extend(c for c in x._children() if isinstance(c, Formula))

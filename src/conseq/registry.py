@@ -90,10 +90,16 @@ FAMILIES: dict[str, Family] = {
 }
 
 
+class UnknownAtom(KeyError, ValueError):
+    """An undeclared atom name: a ValueError at the API, a KeyError to lookups."""
+
+    __str__ = ValueError.__str__  # the message, not KeyError's repr of it
+
+
 def get_family(name: str) -> Family:
     f = FAMILIES.get(name)
     if f is None:
-        raise KeyError(f"unknown designated atom {name!r}")
+        raise UnknownAtom(f"unknown designated atom {name!r}")
     return f
 
 

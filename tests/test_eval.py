@@ -6,7 +6,7 @@ import second_verifier
 from conseq import coding, refs, registry, theories
 from conseq.craig import equivalence_certificates, pad_conjunction
 from conseq.gen import random_decidable_sentence, random_formula
-from conseq.hierarchy import Pi, Sigma
+from conseq.hierarchy import Pi, Sigma, classify
 from conseq.semantics import (
     FALSE,
     TRUE,
@@ -472,6 +472,16 @@ def test_atom_verdict_table(make, expected):
 
 def test_every_family_has_an_evaluator():
     assert all(fam.evaluator is not None for fam in registry.families().values())
+
+
+@pytest.mark.parametrize(
+    "call", [classify, lambda f: eval_formula(f, 3), lambda f: registry.declared_class(f.name, f.params)], ids=["classify", "eval", "declared_class"]
+)
+def test_unregistered_atom_is_a_value_error(call):
+    with pytest.raises(registry.UnknownAtom) as e:
+        call(DAtom("Foo", (), ()))
+    assert isinstance(e.value, ValueError) and isinstance(e.value, KeyError)
+    assert str(e.value) == "unknown designated atom 'Foo'"
 
 
 @pytest.mark.parametrize(
