@@ -475,7 +475,9 @@ def test_every_family_has_an_evaluator():
 
 
 @pytest.mark.parametrize(
-    "call", [classify, lambda f: eval_formula(f, 3), lambda f: registry.declared_class(f.name, f.params)], ids=["classify", "eval", "declared_class"]
+    "call",
+    [classify, lambda f: eval_formula(f, 3), lambda f: registry.declared_class(f.name, f.params)],
+    ids=["classify", "eval", "declared_class"],
 )
 def test_unregistered_atom_is_a_value_error(call):
     with pytest.raises(registry.UnknownAtom) as e:
